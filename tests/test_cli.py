@@ -1,8 +1,17 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from spinaldim.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -174,3 +183,30 @@ def test_repeated_runs_byte_identical():
         second = run_cli(*argv)
         assert first == second
         assert first[0] == 0
+
+
+# sha256 of stdout, recorded before the log-order sums were shared between
+# the quotient, envelope and dimension code; any change in the arithmetic
+# that moves a printed digit shows up here.
+@pytest.mark.parametrize("argv, digest", [
+    ("dim --alpha 1/2 --terms 12 --levels 12 --digits 30",
+     "165a43fb258d93aba43af7aa49090ae1f1e1f70cb4b30e022ce61bc010767968"),
+    ("dim --alpha 1/3 --terms 10 --levels 4 --precision 256 --digits 60",
+     "03efbc42e62ad126a50fbea723fbbabb01d54681a81c296098977bb08b746999"),
+    ("dim --alpha 1/10 --terms 22 --levels 22 --strategy prime-rich",
+     "c668069454c8be2548ba5149cd89e8da92bfb7c49ed6cd131688048f86bd8f70"),
+    ("scripts/dimension_scan.py --levels 40 --precision 256 --constants 5,7,9,27 "
+     "--targets 0.5,0.25,1/3",
+     "fae84de1030c26a396a4190411ccc36f1b6936f71c6ca60d56f65b16eb63be4e"),
+])
+def test_stdout_digest_pinned(argv, digest):
+    argv = argv.split()
+    if argv[0].endswith(".py"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        got = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
+                             check=True, timeout=300).stdout
+    else:
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        got = out.encode()
+    assert hashlib.sha256(got).hexdigest() == digest
