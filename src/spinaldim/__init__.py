@@ -20,7 +20,7 @@ from .dimension import (
 )
 from .errors import BudgetExceeded, DegreeCapExceeded
 from .perms import Permutation, alt_generators, embedded_alt_generators
-from .portraits import Portrait, embed_at, rooted, spinal_generator
+from .portraits import Portrait, embed_at
 from .schreier import StabilizerChain
 from .synthesis import (
     MembershipResult,
@@ -66,10 +66,8 @@ __all__ = [
     "partial_dimension",
     "rigid_product_dimension",
     "rigid_product_partial",
-    "rooted",
     "spectrum_sample",
     "spectrum_svg",
-    "spinal_generator",
     "spinal_group_portraits",
     "stirling_envelope",
     "synthesize",

@@ -2,22 +2,26 @@
 
 All quantities live on a tree with valency sequence {l_i}.  The ambient
 quotients use the l_i themselves, the subgroup quotients use l_i - 2, and
-the level-n partial dimension is the ratio of the two log-orders:
+every number below is a ratio of prefix sums over j < n that
+``wreath.log_order_sums`` builds in one pass, with m_j = prod_{k<j} l_k and
+m'_j = prod_{k<j} (l_k - 2).  The level-n partial dimension is the ratio of
+the two log-orders:
 
-    d_n = sum_{j<n} m'_j (ln (l_j-2)! - ln 2) / sum_{j<n} m_j (ln l_j! - ln 2)
+    d_n = sum m'_j (ln (l_j-2)! - ln 2) / sum m_j (ln l_j! - ln 2)
 
-with m_j = prod_{k<j} l_k and m'_j = prod_{k<j} (l_k - 2).  The envelope
-quantities normalize both sides by their top-index exponents; writing
-w_j = m_j / m_{n-1} and w'_j = m'_j / m'_{n-1} and splitting each l_j!
-as l_j (l_j - 1) (l_j - 2)!, the level-n ratio without the powers of two
-is sandwiched by
+The envelope drops the powers of two and sandwiches
 
-    lower_n = a/(1 + T1 + T2)   and   upper_n = a * N / ln(Dhat)
+    ratio_n = sum m'_j ln (l_j-2)! / sum m_j ln l_j!
 
-where a = m'_{n-1}/m_{n-1}, T1 and T2 divide the log of the split-off
-linear factors by E = sum w_j ln (l_j-2)!, and N replaces each ln (l_j-2)!
-in ln(Bhat) by its upper Stirling envelope plus one unit for the spare
-factor of e per index.
+between  lower_n = a/(1 + T1 + T2)  and
+
+    upper_n = (n m'_{n-1} + sum m'_j l_j (ln l_j - 1)) / sum m_j ln l_j!
+
+where a = m'_{n-1}/m_{n-1}.  Splitting each l_j! as l_j (l_j-1) (l_j-2)!
+gives T1 = sum m_j ln l_j / E and T2 = sum m_j ln (l_j-1) / E with
+E = sum m_j ln (l_j-2)!.  The upper bound trades each ln (l_j-2)! for the
+Stirling-type bound 1 + l_j (ln l_j - 1), every unit weighted by the
+largest m'_{n-1}.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ import mpmath
 from mpmath import mpf
 
 from .trees import TreeSequence
-from .wreath import lnfact
+from .wreath import _GUARD_BITS, log_order_sums
 
-_GUARD_BITS = 32
 _MIN_PRECISION = 64
 
 
@@ -44,18 +47,6 @@ def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
     for l in seq.valencies[:n]:
         if l < 5:
             raise ValueError(f"valency {l} < 5; the shifted side needs l - 2 >= 3")
-
-
-def log_quotient(seq: TreeSequence, n: int, shift: int, precision_bits: int) -> mpf:
-    """ln of prod_{j<n} ((l_j - shift)!/2)^{prod_{k<j}(l_k - shift)}."""
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        ln2 = mpmath.log(2)
-        total = mpmath.mpf(0)
-        m = 1
-        for l in seq.valencies[:n]:
-            total += mpmath.mpf(m) * (lnfact(l - shift, precision_bits) - ln2)
-            m *= l - shift
-        return total
 
 
 def alpha_target(seq: TreeSequence, n: int) -> Fraction:
@@ -83,13 +74,8 @@ class EnvelopeRow:
     t1_cap_ok: bool = True
 
 
-def envelope_bounds(
-    seq: TreeSequence,
-    n: int,
-    precision_bits: int = 128,
-    target: Fraction | None = None,
-) -> EnvelopeRow:
-    """Normalized two-sided bounds around the level-n quotient ratio.
+def envelope_bounds(seq: TreeSequence, n: int, precision_bits: int = 128) -> EnvelopeRow:
+    """Two-sided bounds around the level-n quotient ratio.
 
     ``ratio`` is the quotient of the two log-orders with the powers of two
     dropped; ``lower`` and ``upper`` must bracket it, T2 <= T1 always, and
@@ -99,38 +85,16 @@ def envelope_bounds(
     _require_subgroup_side(seq, n)
     if not 1 <= n <= len(seq):
         raise ValueError(f"level {n} outside 1..{len(seq)}")
-    ls = seq.valencies[:n]
-    top = n - 1
+    sums = log_order_sums(seq.valencies, precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
-        one = mpmath.mpf(1)
-        # top-down cumulative weights w'_j = 1/prod_{k=j..top-1}(l_k - 2), w_j likewise over l_k
-        w_sub = [one] * n
-        w_full = [one] * n
-        for j in range(top - 1, -1, -1):
-            w_sub[j] = w_sub[j + 1] / (ls[j] - 2)
-            w_full[j] = w_full[j + 1] / ls[j]
-        log_bhat = mpmath.mpf(0)
-        log_dhat = mpmath.mpf(0)
-        u_lin = mpmath.mpf(0)
-        v_lin = mpmath.mpf(0)
-        e_sub = mpmath.mpf(0)
-        stirling_top = mpmath.mpf(0)
-        for j, l in enumerate(ls):
-            lf_sub = lnfact(l - 2, precision_bits)
-            log_bhat += w_sub[j] * lf_sub
-            log_dhat += w_full[j] * lnfact(l, precision_bits)
-            u_lin += w_full[j] * mpmath.log(l)
-            v_lin += w_full[j] * mpmath.log(l - 1)
-            e_sub += w_full[j] * lf_sub
-            stirling_top += one + w_sub[j] * l * (mpmath.log(l) - 1)
-        t1 = u_lin / e_sub
-        t2 = v_lin / e_sub
-        alpha_prefix = alpha_target(seq, top)
+        t1 = sums.split_l[n] / sums.split_sub[n]
+        t2 = sums.split_l1[n] / sums.split_sub[n]
+        alpha_prefix = alpha_target(seq, n - 1)
         a = mpmath.mpf(alpha_prefix.numerator) / alpha_prefix.denominator
-        ratio = a * log_bhat / log_dhat
+        ratio = sums.fact_sub[n] / sums.fact[n]
         lower = a / (1 + t1 + t2)
-        upper = a * stirling_top / log_dhat
-        t1_cap = mpmath.mpf(8) / ls[top]
+        upper = (n * sums.size_sub[n - 1] + sums.stirling_sub[n]) / sums.fact[n]
+        t1_cap = mpmath.mpf(8) / seq[n - 1]
         tol = mpmath.mpf(2) ** (-(precision_bits // 2))
         return EnvelopeRow(
             n=n,
@@ -175,8 +139,8 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     _require_subgroup_side(seq, n)
     if not 1 <= n <= len(seq):
         raise ValueError(f"level {n} outside 1..{len(seq)}; the smallest reported level is 1")
-    log_h = log_quotient(seq, n, 2, precision_bits)
-    log_g = log_quotient(seq, n, 0, precision_bits)
+    sums = log_order_sums(seq.valencies, precision_bits)
+    log_h, log_g = sums.order_sub[n], sums.order[n]
     env = envelope_bounds(seq, n, precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         d = log_h / log_g
@@ -249,12 +213,12 @@ def chain_rule_table(
         if c != b - 2:
             raise ValueError("inner sequence is not the middle one shifted by 2")
     _require_subgroup_side(seq_h, n_max)
+    log_g, log_h, log_k = (log_order_sums(s.valencies, precision_bits).order
+                           for s in (seq_g, seq_h, seq_k))
     out = []
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         for n in range(1, n_max + 1):
-            lg = log_quotient(seq_g, n, 0, precision_bits)
-            lh = log_quotient(seq_h, n, 0, precision_bits)
-            lk = log_quotient(seq_k, n, 0, precision_bits)
+            lg, lh, lk = log_g[n], log_h[n], log_k[n]
             q_hg = lh / lg
             q_kh = lk / lh
             q_kg = lk / lg
@@ -294,15 +258,6 @@ def rigid_product_partial(
         raise ValueError(f"k={k} outside 1..{m_n}")
     if not n < m <= len(seq):
         raise ValueError(f"horizon m={m} must satisfy {n} < m <= {len(seq)}")
+    order = log_order_sums(seq.valencies, precision_bits).order
     with mpmath.workprec(precision_bits + _GUARD_BITS):
-        ln2 = mpmath.log(2)
-        num = mpmath.mpf(0)
-        den = mpmath.mpf(0)
-        m_i = 1
-        for i, l in enumerate(seq.valencies[:m]):
-            term = mpmath.mpf(m_i) * (lnfact(l, precision_bits) - ln2)
-            den += term
-            if i >= n:
-                num += term
-            m_i *= l
-        return (k * num / m_n) / den
+        return (k * (order[m] - order[n]) / m_n) / order[m]

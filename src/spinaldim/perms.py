@@ -123,15 +123,6 @@ class Permutation:
         return self.parity() == "even"
 
 
-def compose(g: Permutation, h: Permutation) -> Permutation:
-    """Product g * h, applying h first."""
-    return g * h
-
-
-def inverse(g: Permutation) -> Permutation:
-    return g.inverse()
-
-
 def alt_generators(k: int) -> tuple[Permutation, Permutation]:
     """A generating pair (tau, sigma) for the alternating group on 1..k.
 

@@ -214,14 +214,6 @@ class Portrait:
         ]
 
 
-def spinal_generator(kind: str, seq: TreeSequence, depth: int) -> Portrait:
-    return Portrait.spinal(kind, seq, depth)
-
-
-def rooted(perm: Permutation, seq: TreeSequence, depth: int) -> Portrait:
-    return Portrait.rooted(perm, seq, depth)
-
-
 def embed_at(p: Portrait, v: Vertex, host: TreeSequence) -> Portrait:
     """Copy p into the subtree below v; the result acts trivially elsewhere.
 

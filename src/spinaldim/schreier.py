@@ -82,10 +82,6 @@ class StabilizerChain:
                 self._add(w)
             self._randomized_fill()
 
-    @classmethod
-    def from_generators(cls, generators, seed: int = 0, degree: int | None = None):
-        return cls(generators, seed=seed, degree=degree)
-
     # -- queries ---------------------------------------------------------
 
     def order(self) -> int:

@@ -3,13 +3,17 @@
 The full group of even-labeled automorphisms of a depth-n truncation has
 order  prod_{i<n} (l_i!/2)^{m_i}  with m_i the size of level i.  The same
 closed form over the shifted sequence (l_i - 2) gives the finitely
-generated subgroup's quotients.  ``verify_level_action`` checks the four
-generators really produce a group of that order at desk scale, using the
-stabilizer chain as the independent counter.
+generated subgroup's quotients.  ``log_order_sums`` makes one pass over a
+sequence and keeps every weighted log sum the quotient, dimension and
+envelope code divides, so each level reads its logs off prefix sums.
+``verify_level_action`` checks the four generators really produce a group
+of that order at desk scale, using the stabilizer chain as the independent
+counter.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,31 +28,79 @@ from .schreier import StabilizerChain
 from .trees import TreeSequence
 
 _GUARD_BITS = 32
-_EXACT_SUM_LIMIT = 100_000
-_lnfact_tables: dict[int, list] = {}
 
 
 def lnfact(n: int, precision_bits: int = 128) -> mpf:
-    """ln(n!) at the requested binary precision.
-
-    Up to n = 100000 this is the exact partial sum of ln k; larger
-    arguments (they occur for synthesized sequences, whose entries grow
-    very fast) fall back to the log-gamma function at the same precision.
-    """
+    """ln(n!) as log-gamma of n + 1, worked at precision_bits plus guard bits."""
     if n < 0:
         raise ValueError("factorial argument must be nonnegative")
-    prec = precision_bits + _GUARD_BITS
-    if n <= _EXACT_SUM_LIMIT:
-        table = _lnfact_tables.setdefault(prec, [mpmath.mpf(0), mpmath.mpf(0)])
-        if n >= len(table):
-            with mpmath.workprec(prec):
-                acc = table[-1]
-                for k in range(len(table), n + 1):
-                    acc = acc + mpmath.log(k)
-                    table.append(acc)
-        return table[n]
-    with mpmath.workprec(prec):
+    with mpmath.workprec(precision_bits + _GUARD_BITS):
         return mpmath.loggamma(mpmath.mpf(n) + 1)
+
+
+@dataclass(frozen=True)
+class LogOrderSums:
+    """Prefix sums over the levels of a valency sequence (l_0, l_1, ...).
+
+    Entry n of each sum runs over j < n, with m_j = prod_{k<j} l_k and
+    m'_j = prod_{k<j} (l_k - 2):
+
+        fact          sum m_j ln l_j!
+        fact_sub      sum m'_j ln (l_j-2)!
+        split_sub     sum m_j ln (l_j-2)!
+        split_l       sum m_j ln l_j
+        split_l1      sum m_j ln (l_j-1)
+        stirling_sub  sum m'_j l_j (ln l_j - 1)
+        order         sum m_j (ln l_j! - ln 2), the log of prod (l_j!/2)^{m_j}
+        order_sub     sum m'_j (ln (l_j-2)! - ln 2), the same over l_j - 2
+
+    ``size_sub[n]`` is m'_n.  The split sums come from l! = l (l-1) (l-2)!.
+    """
+
+    fact: tuple[mpf, ...]
+    fact_sub: tuple[mpf, ...]
+    split_sub: tuple[mpf, ...]
+    split_l: tuple[mpf, ...]
+    split_l1: tuple[mpf, ...]
+    stirling_sub: tuple[mpf, ...]
+    order: tuple[mpf, ...]
+    order_sub: tuple[mpf, ...]
+    size_sub: tuple[mpf, ...]
+
+
+@functools.lru_cache(maxsize=8)
+def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderSums:
+    """All prefix sums of ``LogOrderSums`` in one pass, at precision_bits plus guard bits."""
+    with mpmath.workprec(precision_bits + _GUARD_BITS):
+        zero = mpmath.mpf(0)
+        rows = [(zero,) * 6 + (0, 0)]
+        size_sub = [mpmath.mpf(1)]
+        m = m_sub = 1
+        for l in valencies:
+            lf = lnfact(l, precision_bits)
+            lf_sub = lnfact(l - 2, precision_bits)
+            ln_l = mpmath.log(l)
+            # the last two terms count the vertices above level n, as exact integers
+            terms = (m * lf, m_sub * lf_sub, m * lf_sub, m * ln_l, m * mpmath.log(l - 1),
+                     m_sub * l * (ln_l - 1), m, m_sub)
+            rows.append(tuple(acc + t for acc, t in zip(rows[-1], terms)))
+            m *= l
+            m_sub *= l - 2
+            size_sub.append(mpmath.mpf(m_sub))
+        (fact, fact_sub, split_sub, split_l, split_l1, stirling_sub,
+         internal, internal_sub) = zip(*rows)
+        ln2 = mpmath.log(2)
+        return LogOrderSums(
+            fact=fact,
+            fact_sub=fact_sub,
+            split_sub=split_sub,
+            split_l=split_l,
+            split_l1=split_l1,
+            stirling_sub=stirling_sub,
+            order=tuple(f - ln2 * w for f, w in zip(fact, internal)),
+            order_sub=tuple(f - ln2 * w for f, w in zip(fact_sub, internal_sub)),
+            size_sub=tuple(size_sub),
+        )
 
 
 def stirling_envelope(n: int, precision_bits: int = 128) -> tuple[mpf, mpf]:
@@ -76,21 +128,6 @@ class QuotientOrder:
     precision_bits: int
 
 
-def _estimate_digits(seq: TreeSequence, n: int) -> float:
-    total = 0.0
-    m = 1
-    for l in seq.valencies[:n]:
-        try:
-            term = math.lgamma(l + 1) / math.log(10) - math.log10(2)
-        except OverflowError:
-            return math.inf
-        total += m * term
-        if total > 1e18:
-            return math.inf
-        m *= l
-    return total
-
-
 def wreath_quotient_order(
     seq: TreeSequence,
     n: int,
@@ -107,9 +144,11 @@ def wreath_quotient_order(
         raise ValueError(f"unknown variant {variant!r}")
     if n > len(seq):
         raise ValueError(f"level {n} exceeds sequence length {len(seq)}")
+    log_value = log_order_sums(seq.valencies[:n], precision_bits).order[n]
     exact = None
     if variant == "exact":
-        digits = _estimate_digits(seq, n)
+        with mpmath.workprec(precision_bits + _GUARD_BITS):
+            digits = float(log_value / mpmath.log(10))
         if digits > digit_budget:
             raise BudgetExceeded(
                 f"exact order needs about {digits:.3g} digits (budget {digit_budget}); "
@@ -122,14 +161,7 @@ def wreath_quotient_order(
         for l in seq.valencies[:n]:
             exact *= (math.factorial(l) // 2) ** m
             m *= l
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        ln2 = mpmath.log(2)
-        total = mpmath.mpf(0)
-        m = 1
-        for l in seq.valencies[:n]:
-            total += mpmath.mpf(m) * (lnfact(l, precision_bits) - ln2)
-            m *= l
-    return QuotientOrder(seq.valencies[:n], n, exact, total, precision_bits)
+    return QuotientOrder(seq.valencies[:n], n, exact, log_value, precision_bits)
 
 
 def spinal_group_portraits(seq: TreeSequence, depth: int, which: str) -> list[Portrait]:
@@ -213,7 +245,7 @@ def verify_level_action(
     expected = wreath_quotient_order(target, n, "exact").exact
     portraits = spinal_group_portraits(seq, n, which)
     images = [p.level_permutation(n) for p in portraits]
-    chain = StabilizerChain.from_generators(images, seed=seed)
+    chain = StabilizerChain(images, seed=seed)
     measured = chain.order()
     elapsed = (time.perf_counter() - start) * 1000.0
     return LevelActionReport(

@@ -41,10 +41,10 @@ def test_a1_generator_orders():
     start = time.perf_counter()
     for k in range(5, 41):
         tau, sigma = alt_generators(k)
-        top = StabilizerChain.from_generators([tau, sigma]).order()
+        top = StabilizerChain([tau, sigma]).order()
         assert top == math.factorial(k) // 2, f"top order wrong at k={k}"
         kappa, rho = embedded_alt_generators(k)
-        chain = StabilizerChain.from_generators([kappa, rho])
+        chain = StabilizerChain([kappa, rho])
         assert chain.order() == math.factorial(k - 2) // 2, f"embedded order wrong at k={k}"
         assert all(
             g(k - 1) == k - 1 and g(k) == k for g in chain.strong_generators()

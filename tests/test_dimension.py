@@ -177,3 +177,70 @@ def test_rigid_product_partial_range_checks():
         rigid_product_partial(seq, 1, 1, 1)
     with pytest.raises(ValueError):
         rigid_product_partial(seq, 1, 1, 4)
+
+
+def reference_envelope(seq: TreeSequence, n: int, prec: int = 400) -> dict:
+    """The envelope quantities from top-down weights w_j = m_j/m_{n-1}.
+
+    This is the normalized form the prefix-sum ratios replace: dividing
+    every sum by the top-index exponent keeps the terms near one.
+    """
+    ls = seq.valencies[:n]
+    top = n - 1
+    with mpmath.workprec(prec):
+        one = mpmath.mpf(1)
+        w_sub = [one] * n
+        w_full = [one] * n
+        for j in range(top - 1, -1, -1):
+            w_sub[j] = w_sub[j + 1] / (ls[j] - 2)
+            w_full[j] = w_full[j + 1] / ls[j]
+        zero = mpmath.mpf(0)
+        log_bhat = log_dhat = u_lin = v_lin = e_sub = stirling_top = zero
+        for j, l in enumerate(ls):
+            lf_sub = mpmath.loggamma(mpmath.mpf(l) - 1)
+            log_bhat += w_sub[j] * lf_sub
+            log_dhat += w_full[j] * mpmath.loggamma(mpmath.mpf(l) + 1)
+            u_lin += w_full[j] * mpmath.log(l)
+            v_lin += w_full[j] * mpmath.log(l - 1)
+            e_sub += w_full[j] * lf_sub
+            stirling_top += one + w_sub[j] * l * (mpmath.log(l) - 1)
+        t1 = u_lin / e_sub
+        t2 = v_lin / e_sub
+        a = mpf_of(alpha_target(seq, top))
+        return {
+            "ratio": a * log_bhat / log_dhat,
+            "lower": a / (1 + t1 + t2),
+            "upper": a * stirling_top / log_dhat,
+            "t1": t1,
+            "t2": t2,
+        }
+
+
+@pytest.fixture(scope="module")
+def envelope_sequences():
+    return {
+        "constant-5 x40": CONST5,
+        "minimal 1/2 x12": synthesize(Fraction(1, 2), 12).sequence(),
+        "prime-rich 1/10 x22": synthesize(Fraction(1, 10), 22, "prime-rich").sequence(),
+    }
+
+
+def test_envelope_matches_top_down_reference(envelope_sequences):
+    # alternate which precision asks first: sums cached under a key that
+    # ignored the precision would miss the 256-bit tolerance
+    tolerances = {128: mpmath.mpf(2) ** -100, 256: mpmath.mpf(2) ** -200}
+    for name, seq in envelope_sequences.items():
+        for n in range(1, len(seq) + 1):
+            ref = reference_envelope(seq, n)
+            for bits in ((128, 256) if n % 2 else (256, 128)):
+                env = envelope_bounds(seq, n, bits)
+                for key, want in ref.items():
+                    err = abs(getattr(env, key) - want)
+                    assert err < tolerances[bits], (name, n, bits, key)
+
+
+def test_report_rows_equal_single_level_rows(envelope_sequences):
+    for seq in envelope_sequences.values():
+        rows = dimension_report(seq, len(seq)).rows
+        for n, row in enumerate(rows, start=1):
+            assert row == partial_dimension(seq, n)

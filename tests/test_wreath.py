@@ -22,7 +22,7 @@ def test_lnfact_against_loggamma():
 
 
 def test_lnfact_large_arguments():
-    # beyond the exact-sum range the log-gamma route takes over
+    # arguments far beyond any level size still land inside the Stirling envelope
     big = 10 ** 40
     val = lnfact(big, 128)
     with mpmath.workprec(200):
