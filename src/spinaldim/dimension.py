@@ -26,7 +26,7 @@ largest m'_{n-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -119,7 +119,6 @@ class DimensionRow:
     d: mpf
     alpha: Fraction
     envelope: EnvelopeRow
-    in_envelope: bool
 
 
 @dataclass
@@ -130,7 +129,7 @@ class DimensionReport:
     liminf_estimate: mpf
     limsup_estimate: mpf
     diverged: bool
-    flagged_levels: list[int] = field(default_factory=list)
+    flagged_levels: list[int]  # levels whose envelope row fails the sandwich check
 
 
 def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> DimensionRow:
@@ -144,8 +143,6 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     env = envelope_bounds(seq, n, precision_bits)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         d = log_h / log_g
-        eps = mpmath.mpf(2) ** (-(precision_bits // 2))
-        inside = bool(env.lower * (1 - eps) <= d <= env.upper * (1 + eps))
     return DimensionRow(
         n=n,
         log_subgroup=log_h,
@@ -153,7 +150,6 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
         d=d,
         alpha=alpha_target(seq, n),
         envelope=env,
-        in_envelope=inside,
     )
 
 
@@ -170,7 +166,6 @@ def dimension_report(seq: TreeSequence, levels: int, precision_bits: int = 128) 
     limsup_est = max(ds)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         diverged = bool(limsup_est - liminf_est > mpmath.mpf("1e-6"))
-    flagged = [r.n for r in rows if not r.in_envelope]
     return DimensionReport(
         sequence=seq.valencies[:levels],
         precision_bits=precision_bits,
@@ -178,7 +173,7 @@ def dimension_report(seq: TreeSequence, levels: int, precision_bits: int = 128) 
         liminf_estimate=liminf_est,
         limsup_estimate=limsup_est,
         diverged=diverged,
-        flagged_levels=flagged,
+        flagged_levels=[r.n for r in rows if not r.envelope.sandwich_ok],
     )
 
 

@@ -185,9 +185,8 @@ def test_repeated_runs_byte_identical():
         assert first[0] == 0
 
 
-# sha256 of stdout, recorded before the log-order sums were shared between
-# the quotient, envelope and dimension code; any change in the arithmetic
-# that moves a printed digit shows up here.
+# pinned sha256 of stdout: a change in the log-order arithmetic that moves
+# any printed digit fails here
 @pytest.mark.parametrize("argv, digest", [
     ("dim --alpha 1/2 --terms 12 --levels 12 --digits 30",
      "165a43fb258d93aba43af7aa49090ae1f1e1f70cb4b30e022ce61bc010767968"),

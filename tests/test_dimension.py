@@ -113,6 +113,18 @@ def test_report_estimates_converged_case():
     assert report.liminf_estimate <= report.limsup_estimate
 
 
+@pytest.mark.parametrize("seq, levels", [
+    (synthesize(Fraction(1, 2), 12).sequence(), 12),
+    (TreeSequence((5,) * 10), 10),
+    (TreeSequence((7,) * 10), 10),
+    (TreeSequence((27, 27)), 2),
+])
+def test_report_flags_no_level_whose_sandwich_holds(seq, levels):
+    report = dimension_report(seq, levels)
+    assert all(row.envelope.sandwich_ok for row in report.rows)
+    assert report.flagged_levels == []
+
+
 def test_report_flags_divergence_for_drifting_constant_tree():
     report = dimension_report(TreeSequence((5,) * 12), 12)
     assert report.diverged
