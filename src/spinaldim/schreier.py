@@ -1,13 +1,22 @@
 """Order and membership oracle for permutation groups (Schreier-Sims).
 
 The chain is built by a seeded randomized fill (product replacement) and
-then certified by an exhaustive Schreier-generator verification pass, so
-the final structure is exact regardless of what the randomized phase did.
-Any witness the verification finds is fed back in and the pass is rerun
-until it comes back clean.
+then certified in one of two ways, so the final structure is exact
+regardless of what the randomized phase did:
 
-The verification is the expensive part; it is batched with numpy, one
-matrix holding every Schreier generator of a level at once.
+- ``"order-bound"``: the caller proved an upper bound on the group order
+  and the fill reached it.  Every transversal element is a group element,
+  so the product of the orbit lengths is a lower bound on the order; when
+  it equals the upper bound the chain is complete (known-order
+  Schreier-Sims, Seress, *Permutation Group Algorithms*, ch. 4).
+- ``"schreier"``: an exhaustive Schreier-generator verification pass.
+  Any witness it finds is fed back in and the pass is rerun until it
+  comes back clean.
+
+The verification pass is the expensive part; it is batched with numpy, one
+matrix holding every Schreier generator of a level at once, and refuses
+with :class:`~spinaldim.errors.BudgetExceeded` when that matrix would
+exceed ``_VERIFY_BYTES_LIMIT``.
 
 Internally permutations are 0-based tuples; the public API speaks
 :class:`~spinaldim.perms.Permutation`.
@@ -17,12 +26,13 @@ from __future__ import annotations
 
 from random import Random
 
-import numpy as np
-
+from .errors import BudgetExceeded
 from .perms import Permutation
 
 _EXIT_ROUNDS = 16
 _MAX_WITNESSES_PER_PASS = 64
+# largest (generators x orbit x degree) int32 matrix the verification pass builds
+_VERIFY_BYTES_LIMIT = 1 << 30
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -52,9 +62,16 @@ class _Level:
 
 
 class StabilizerChain:
-    """Base, transversals and strong generators for a permutation group."""
+    """Base, transversals and strong generators for a permutation group.
 
-    def __init__(self, generators, seed: int = 0, degree: int | None = None):
+    ``order_bound``, when given, must be a proven upper bound on the order
+    of the generated group.  A chain that reaches it skips the verification
+    pass; a chain that exceeds it raises ValueError.  ``certificate`` names
+    the proof the chain rests on: ``"order-bound"`` or ``"schreier"``.
+    """
+
+    def __init__(self, generators, seed: int = 0, degree: int | None = None,
+                 order_bound: int | None = None):
         gens = list(generators)
         if degree is None:
             if not gens:
@@ -71,9 +88,20 @@ class StabilizerChain:
 
         raw = [tuple(x - 1 for x in g.images) for g in gens]
         raw = [g for g in raw if not _is_id(g)]
+        grown = self.order()
         for g in raw:
             self._add(g)
         self._randomized_fill()
+        if order_bound is not None:
+            # refill while the generators and the last fill still grew the order
+            while grown < self.order() < order_bound:
+                grown = self.order()
+                self._randomized_fill()
+            self._check_bound(order_bound)
+            if self.order() == order_bound:
+                self.certificate = "order-bound"
+                return
+        self.certificate = "schreier"
         while True:
             witnesses = self._verify_pass()
             if not witnesses:
@@ -81,6 +109,8 @@ class StabilizerChain:
             for w in witnesses:
                 self._add(w)
             self._randomized_fill()
+        if order_bound is not None:
+            self._check_bound(order_bound)
 
     # -- queries ---------------------------------------------------------
 
@@ -108,7 +138,7 @@ class StabilizerChain:
         return _is_id(residue)
 
     def random_element(self, rng: Random | None = None) -> Permutation:
-        """Uniform random element (the chain is verified, so this is exact)."""
+        """Uniform random element (the chain is complete, so this is exact)."""
         rng = rng or self._rng
         word = self._identity
         for lv in self._levels:
@@ -117,6 +147,12 @@ class StabilizerChain:
         return Permutation(tuple(x + 1 for x in word))
 
     # -- construction ----------------------------------------------------
+
+    def _check_bound(self, order_bound: int) -> None:
+        if self.order() > order_bound:
+            raise ValueError(
+                f"chain order {self.order()} exceeds the claimed bound {order_bound}"
+            )
 
     def _sift(self, g: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """Reduce g through the chain; returns (residue, stuck_level)."""
@@ -206,6 +242,8 @@ class StabilizerChain:
         the chain exact: by Schreier's lemma each stabilizer is then
         generated by the next level's strong generators.
         """
+        import numpy as np
+
         deg = self.degree
         idrow = np.arange(deg, dtype=np.int32)
         levels = self._levels
@@ -235,6 +273,14 @@ class StabilizerChain:
             gens_i = self._gens_at(i)
             if not gens_i:
                 continue
+            required = len(gens_i) * len(u_i) * deg * np.dtype(np.int32).itemsize
+            if required > _VERIFY_BYTES_LIMIT:
+                raise BudgetExceeded(
+                    f"Schreier verification at base level {i} needs a {required}-byte "
+                    f"matrix (limit {_VERIFY_BYTES_LIMIT})",
+                    required=required,
+                    limit=_VERIFY_BYTES_LIMIT,
+                )
             s_stack = np.array(gens_i, dtype=np.int32)
             su = s_stack[:, u_i].reshape(-1, deg)
             sel = pos_i[su[:, lv.base]]

@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded
 from .trees import TreeSequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_ENTRY_DIGITS = 100_000
 _SCAN_CAP = 2_000_000
@@ -77,6 +79,8 @@ class SynthesisTrace:
 
 
 def _sieve_primes(limit: int) -> list[int]:
+    import numpy as np
+
     if limit < 2:
         return []
     flags = np.ones(limit + 1, dtype=bool)
@@ -89,6 +93,8 @@ def _sieve_primes(limit: int) -> list[int]:
 
 def distinct_prime_factor_counts(lo: int, hi: int) -> np.ndarray:
     """Number of distinct prime factors for every integer in [lo, hi]."""
+    import numpy as np
+
     if lo < 2 or hi < lo:
         raise ValueError("need 2 <= lo <= hi")
     vals = np.arange(lo, hi + 1, dtype=np.int64)
@@ -113,6 +119,8 @@ def distinct_prime_factor_counts(lo: int, hi: int) -> np.ndarray:
 
 
 def _pick_prime_rich(lo: int, hi: int, scan_cap: int) -> int:
+    import numpy as np
+
     width = hi - lo + 1
     if width > scan_cap:
         raise BudgetExceeded(

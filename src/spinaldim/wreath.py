@@ -8,7 +8,8 @@ sequence and keeps every weighted log sum the quotient, dimension and
 envelope code divides, so each level reads its logs off prefix sums.
 ``verify_level_action`` checks the four generators really produce a group
 of that order at desk scale, using the stabilizer chain as the independent
-counter.
+counter.  When the generators' labels prove the closed form is an upper
+bound, the chain is certified by reaching it instead of by a Schreier pass.
 """
 
 from __future__ import annotations
@@ -191,6 +192,29 @@ def spinal_group_portraits(seq: TreeSequence, depth: int, which: str) -> list[Po
     raise ValueError(f"group must be 'G' or 'H', got {which!r}")
 
 
+def labels_in_wreath_product(portraits: list[Portrait], which: str) -> bool:
+    """Whether the labels prove the closed form bounds the generated level action.
+
+    G: every label is even, so the group lies in the iterated wreath
+    product of the A_{l_i}.  H: every label is even and fixes l - 1 and l,
+    and only vertices whose letters are all <= l - 2 carry labels.  The
+    group then preserves the subtree on letters <= l_i - 2, moves a vertex
+    only through its prefix inside that subtree, and so acts on level n as
+    a subgroup of the iterated wreath product of the A_{l_i - 2}.
+    """
+    for p in portraits:
+        for v, perm in p.labels.items():
+            if not perm.is_even():
+                return False
+            if which == "H":
+                l = perm.degree
+                if perm(l - 1) != l - 1 or perm(l) != l:
+                    return False
+                if any(x > p.seq[i] - 2 for i, x in enumerate(v)):
+                    return False
+    return True
+
+
 @dataclass
 class LevelActionReport:
     sequence: tuple[int, ...]
@@ -202,6 +226,7 @@ class LevelActionReport:
     seed: int
     degree: int
     elapsed_ms: float = field(repr=False, default=0.0)
+    certificate: str = "schreier"
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -213,6 +238,7 @@ class LevelActionReport:
             "match": self.match,
             "seed": self.seed,
             "degree": self.degree,
+            "certificate": self.certificate,
             "elapsed_ms": round(self.elapsed_ms, 3) if include_timing else None,
         }
         return out
@@ -245,7 +271,8 @@ def verify_level_action(
     expected = wreath_quotient_order(target, n, "exact").exact
     portraits = spinal_group_portraits(seq, n, which)
     images = [p.level_permutation(n) for p in portraits]
-    chain = StabilizerChain(images, seed=seed)
+    bound = expected if labels_in_wreath_product(portraits, which) else None
+    chain = StabilizerChain(images, seed=seed, order_bound=bound)
     measured = chain.order()
     elapsed = (time.perf_counter() - start) * 1000.0
     return LevelActionReport(
@@ -258,4 +285,5 @@ def verify_level_action(
         seed=seed,
         degree=degree,
         elapsed_ms=elapsed,
+        certificate=chain.certificate,
     )

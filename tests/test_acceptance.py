@@ -40,11 +40,18 @@ def report(name: str, ok: bool, detail: str) -> None:
 def test_a1_generator_orders():
     start = time.perf_counter()
     for k in range(5, 41):
+        # even generators bound the order by k!/2; generators that are also
+        # fixing k-1 and k bound it by (k-2)!/2, so a chain reaching the
+        # bound from group elements proves the order
         tau, sigma = alt_generators(k)
-        top = StabilizerChain([tau, sigma]).order()
+        assert tau.is_even() and sigma.is_even(), f"odd top generator at k={k}"
+        top = StabilizerChain([tau, sigma], order_bound=math.factorial(k) // 2).order()
         assert top == math.factorial(k) // 2, f"top order wrong at k={k}"
         kappa, rho = embedded_alt_generators(k)
-        chain = StabilizerChain([kappa, rho])
+        assert all(
+            g.is_even() and g(k - 1) == k - 1 and g(k) == k for g in (kappa, rho)
+        ), f"embedded generator is odd or moves a reserved point at k={k}"
+        chain = StabilizerChain([kappa, rho], order_bound=math.factorial(k - 2) // 2)
         assert chain.order() == math.factorial(k - 2) // 2, f"embedded order wrong at k={k}"
         assert all(
             g(k - 1) == k - 1 and g(k) == k for g in chain.strong_generators()

@@ -57,6 +57,7 @@ def test_verify_match_exit_zero():
     doc = json.loads(out)
     assert doc["match"] is True
     assert doc["expected"] == "46656000000"
+    assert doc["certificate"] == "order-bound"
     assert doc["elapsed_ms"] is None
 
 
@@ -70,6 +71,25 @@ def test_verify_cap_refusal_exit_four():
     code, _, err = run_cli("verify", "--seq", "5,5,5,5,5", "--level", "5")
     assert code == 4
     assert "cap" in err
+
+
+def test_verify_fallback_budget_exit_four(monkeypatch):
+    import spinaldim.schreier as schreier
+
+    # this H stalls below its closed form, so only the Schreier pass can certify it
+    monkeypatch.setattr(schreier, "_VERIFY_BYTES_LIMIT", 1 << 10)
+    code, out, err = run_cli("verify", "--seq", "5,5,5", "--level", "3", "--group", "H")
+    assert code == 4
+    assert out == ""
+    assert "Schreier verification" in err
+
+
+def test_verify_mismatch_reports_schreier_certificate():
+    code, out, _ = run_cli("verify", "--seq", "5,5,5", "--level", "3", "--group", "H")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["measured"] == "59049"
+    assert doc["certificate"] == "schreier"
 
 
 def test_verify_mismatch_exit_three(monkeypatch):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from spinaldim import (
+    BudgetExceeded,
     Permutation,
     StabilizerChain,
     TreeSequence,
@@ -111,3 +116,52 @@ def test_symmetric_group_order():
     s = Permutation.from_cycles(7, [(1, 2)])
     c = Permutation.from_cycles(7, [tuple(range(1, 8))])
     assert StabilizerChain([s, c]).order() == math.factorial(7)
+
+
+def test_order_bound_reached_skips_verification(monkeypatch):
+    tau, sigma = alt_generators(5)
+
+    def no_pass(self):
+        raise AssertionError("verification pass ran although the bound was reached")
+
+    monkeypatch.setattr(StabilizerChain, "_verify_pass", no_pass)
+    chain = StabilizerChain([tau, sigma], order_bound=60)
+    assert chain.order() == 60
+    assert chain.certificate == "order-bound"
+
+
+def test_order_bound_above_true_order_falls_back():
+    tau, sigma = alt_generators(5)
+    chain = StabilizerChain([tau, sigma], order_bound=120)
+    assert chain.order() == 60
+    assert chain.certificate == "schreier"
+    assert StabilizerChain([tau, sigma]).certificate == "schreier"
+
+
+@pytest.mark.parametrize("bound", [1, 30, 59])
+def test_order_bound_below_true_order_raises(bound):
+    tau, sigma = alt_generators(5)
+    with pytest.raises(ValueError, match="exceeds the claimed bound"):
+        StabilizerChain([tau, sigma], order_bound=bound)
+
+
+def test_verify_pass_refuses_above_byte_budget(monkeypatch):
+    import spinaldim.schreier as schreier
+
+    monkeypatch.setattr(schreier, "_VERIFY_BYTES_LIMIT", 1000)
+    tau, sigma = alt_generators(9)
+    with pytest.raises(BudgetExceeded) as err:
+        StabilizerChain([tau, sigma])
+    assert err.value.limit == 1000
+    assert err.value.required > 1000
+    # a chain certified by its order bound builds no matrix
+    assert StabilizerChain([tau, sigma], order_bound=math.factorial(9) // 2).order() == 181440
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, spinaldim.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"

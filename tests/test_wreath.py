@@ -6,12 +6,18 @@ import pytest
 from spinaldim import (
     BudgetExceeded,
     DegreeCapExceeded,
+    Permutation,
+    Portrait,
     TreeSequence,
+    alt_generators,
+    embedded_alt_generators,
     lnfact,
+    spinal_group_portraits,
     stirling_envelope,
     verify_level_action,
     wreath_quotient_order,
 )
+from spinaldim.wreath import labels_in_wreath_product
 
 
 def test_lnfact_against_loggamma():
@@ -132,5 +138,96 @@ def test_report_serialization():
     assert doc["match"] is True
     assert doc["seed"] == 3
     assert doc["elapsed_ms"] is None
+    assert doc["certificate"] == "order-bound"
     assert r.elapsed_ms > 0
     assert r.to_dict(include_timing=True)["elapsed_ms"] > 0
+
+
+@pytest.mark.parametrize("which", ["G", "H"])
+def test_labels_in_wreath_product_accepts_the_spinal_generators(which):
+    portraits = spinal_group_portraits(TreeSequence((7, 6, 5)), 3, which)
+    assert labels_in_wreath_product(portraits, which)
+
+
+@pytest.mark.parametrize("which", ["G", "H"])
+def test_labels_in_wreath_product_refuses_an_odd_label(which):
+    seq = TreeSequence((7, 7))
+    portraits = spinal_group_portraits(seq, 2, which)
+    odd = Portrait(seq, 2, {(1,): Permutation.from_cycles(7, [(1, 2)])})
+    assert not labels_in_wreath_product(portraits + [odd], which)
+
+
+def test_labels_in_wreath_product_refuses_h_label_outside_the_subtree():
+    seq = TreeSequence((7, 7))
+    portraits = spinal_group_portraits(seq, 2, "H")
+    kappa, _ = embedded_alt_generators(7)
+    # even and fixing 6 and 7, but at a vertex whose letter 7 exceeds l - 2 = 5
+    stray = Portrait(seq, 2, {(7,): kappa})
+    assert not labels_in_wreath_product(portraits + [stray], "H")
+    # the same label below an admissible vertex keeps the bound
+    inside = Portrait(seq, 2, {(5,): kappa})
+    assert labels_in_wreath_product(portraits + [inside], "H")
+
+
+def test_labels_in_wreath_product_refuses_h_label_moving_a_reserved_point():
+    seq = TreeSequence((7, 7))
+    portraits = spinal_group_portraits(seq, 2, "H")
+    tau, _ = alt_generators(7)  # the 3-cycle (5 6 7) moves 6 and 7
+    moving = Portrait(seq, 2, {(1,): tau})
+    assert not labels_in_wreath_product(portraits + [moving], "H")
+    assert labels_in_wreath_product(portraits + [moving], "G")
+
+
+def test_odd_extra_generator_gets_no_order_bound(monkeypatch):
+    import spinaldim.wreath as wreath
+
+    seq = TreeSequence((5, 5))
+    swap = Portrait(seq, 2, {(): Permutation.from_cycles(5, [(1, 2)])})
+    spinal = wreath.spinal_group_portraits
+    monkeypatch.setattr(wreath, "spinal_group_portraits",
+                        lambda *args: spinal(*args) + [swap])
+    # a root transposition turns A_5 wr A_5 into S_5 acting on A_5^5
+    r = verify_level_action(seq, 2, "G")
+    assert r.certificate == "schreier"
+    assert r.measured == 2 * r.expected == 2 * 60 ** 6
+    assert not r.match
+
+
+# the generated H is smaller than the closed form here (A_3 and A_4 are not
+# perfect), so the fill stalls below the bound and the Schreier pass decides
+H_MISMATCHES = [((5, 5, 5), 27), ((7, 5, 5), 3), ((7, 6, 6), 3)]
+
+
+@pytest.mark.parametrize("valencies, index", H_MISMATCHES)
+def test_h_mismatch_measured_exactly_through_fallback(valencies, index):
+    r = verify_level_action(TreeSequence(valencies), 3, "H")
+    assert r.expected % index == 0
+    assert r.measured == r.expected // index
+    assert not r.match
+    assert r.certificate == "schreier"
+
+
+@pytest.mark.parametrize("valencies, index", H_MISMATCHES)
+def test_h_mismatch_against_sympy(valencies, index):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    seq = TreeSequence(valencies)
+    images = [p.level_permutation(3) for p in spinal_group_portraits(seq, 3, "H")]
+    group = combinatorics.PermutationGroup(
+        [combinatorics.Permutation([x - 1 for x in g.images]) for g in images])
+    closed = wreath_quotient_order(TreeSequence(tuple(l - 2 for l in valencies)), 3).exact
+    assert group.order() == closed // index
+
+
+def test_order_bound_certifies_every_seed_at_degree_125():
+    seq = TreeSequence((5, 5, 5))
+    for seed in range(20):
+        r = verify_level_action(seq, 3, "G", seed=seed)
+        assert r.match, seed
+        assert r.certificate == "order-bound", seed
+
+
+def test_degree_343_verify_uses_order_bound():
+    r = verify_level_action(TreeSequence((7, 7, 7)), 3, "G")
+    assert r.degree == 343
+    assert r.match and r.expected == (math.factorial(7) // 2) ** (1 + 7 + 49)
+    assert r.certificate == "order-bound"
