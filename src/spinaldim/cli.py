@@ -9,7 +9,9 @@ is only emitted when --timing is passed.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,6 +43,86 @@ class RunConfig:
 
 def _nstr(x, digits: int) -> str:
     return mpmath.nstr(x, digits, strip_zeros=False)
+
+
+# measured crossover: below about 2**15 bits the built-in conversion is faster
+_INT_TEXT_BITS = 1 << 15
+_DECIMAL_LEAF_BITS = 128
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` in subquadratic time for huge n.
+
+    CPython's own int-to-decimal conversion is quadratic before 3.12, and
+    minimal-strategy entries reach 190k digits.  Above ``_INT_TEXT_BITS``
+    this splits n in binary and recombines the halves as ``decimal``
+    values, whose multiplication is subquadratic (the method of CPython
+    3.12's ``_pylong.int_to_decimal_string``).
+    """
+    if n.bit_length() <= _INT_TEXT_BITS:
+        return str(n)
+    D = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        # 2**w, reusing the halves every level of the recursion asks for
+        result = powers.get(w)
+        if result is None:
+            if w <= _DECIMAL_LEAF_BITS:
+                result = D(2) ** w
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                result = pow2(w >> 1) * pow2(w - (w >> 1))
+            powers[w] = result
+        return result
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        if w <= _DECIMAL_LEAF_BITS:
+            return D(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
+
+
+def _fraction_text(q: Fraction) -> str:
+    """``str(q)``, with both parts printed by ``_int_text``."""
+    if q.denominator == 1:
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)`` plus a newline, big ints printed by ``_int_text``.
+
+    Each int above ``_INT_TEXT_BITS`` goes into the dump as a string
+    placeholder that no command-line input can produce (it holds a NUL),
+    and its digits are spliced in afterwards, so the bytes are unchanged.
+    """
+    digits: list[str] = []
+
+    def swap(x):
+        if isinstance(x, dict):
+            return {k: swap(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [swap(v) for v in x]
+        if type(x) is int and x.bit_length() > _INT_TEXT_BITS:
+            digits.append(_int_text(x))
+            return f"\0{len(digits) - 1}"
+        return x
+
+    text = json.dumps(swap(doc), indent=2)
+    if digits:
+        text = re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m.group(1))], text)
+    return text + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -135,12 +217,12 @@ def _cmd_synth(args) -> int:
         doc["steps"] = [
             {
                 "i": s.i, "l": s.l, "window_lo": s.window_lo, "window_hi": s.window_hi,
-                "P": str(s.p), "gap": _nstr(mpmath.mpf(s.gap.numerator) / s.gap.denominator,
-                                            args.digits),
+                "P": _fraction_text(s.p),
+                "gap": _nstr(mpmath.mpf(s.gap.numerator) / s.gap.denominator, args.digits),
             }
             for s in trace.steps
         ]
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json_text(doc), args.out)
         return 0
     lines = [_csv_comment(cfg)]
     lines.append("i,l_i,window_lo,window_hi,P_num,P_den,gap_decimal\n")
@@ -148,8 +230,8 @@ def _cmd_synth(args) -> int:
         lines[0] = lines[0].rstrip("\n") + f" degenerate={trace.degenerate}\n"
     for s in trace.steps:
         gap = _nstr(mpmath.mpf(s.gap.numerator) / s.gap.denominator, args.digits)
-        lines.append(f"{s.i},{s.l},{s.window_lo},{s.window_hi},"
-                     f"{s.p.numerator},{s.p.denominator},{gap}\n")
+        ints = (s.l, s.window_lo, s.window_hi, s.p.numerator, s.p.denominator)
+        lines.append(f"{s.i},{','.join(map(_int_text, ints))},{gap}\n")
     _emit("".join(lines), args.out)
     return 0
 
@@ -177,7 +259,7 @@ def _cmd_dim(args) -> int:
         doc["rows"] = [
             {
                 "n": r.n,
-                "alpha_n": str(r.alpha),
+                "alpha_n": _fraction_text(r.alpha),
                 "d_n": _nstr(r.d, d),
                 "lower_n": _nstr(r.envelope.lower, d),
                 "upper_n": _nstr(r.envelope.upper, d),
@@ -191,14 +273,14 @@ def _cmd_dim(args) -> int:
         doc["limsup_estimate"] = _nstr(report.limsup_estimate, d)
         doc["diverged"] = report.diverged
         doc["flagged_levels"] = report.flagged_levels
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json_text(doc), args.out)
         return 0
     lines = [_csv_comment(cfg)]
     lines.append("n,alpha_n_num,alpha_n_den,d_n,lower_n,upper_n,T1,T2\n")
     for r in report.rows:
         lines.append(
-            f"{r.n},{r.alpha.numerator},{r.alpha.denominator},{_nstr(r.d, d)},"
-            f"{_nstr(r.envelope.lower, d)},{_nstr(r.envelope.upper, d)},"
+            f"{r.n},{_int_text(r.alpha.numerator)},{_int_text(r.alpha.denominator)},"
+            f"{_nstr(r.d, d)},{_nstr(r.envelope.lower, d)},{_nstr(r.envelope.upper, d)},"
             f"{_nstr(r.envelope.t1, d)},{_nstr(r.envelope.t2, d)}\n"
         )
     _emit("".join(lines), args.out)

@@ -26,6 +26,7 @@ largest m'_{n-1}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,12 +50,20 @@ def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
             raise ValueError(f"valency {l} < 5; the shifted side needs l - 2 >= 3")
 
 
+@functools.lru_cache(maxsize=8)
+def _alpha_prefixes(valencies: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Entry n is prod_{j<n} (l_j - 2)/l_j, for n = 0..len(valencies), in one pass."""
+    out = [Fraction(1)]
+    for l in valencies:
+        out.append(out[-1] * Fraction(l - 2, l))
+    return tuple(out)
+
+
 def alpha_target(seq: TreeSequence, n: int) -> Fraction:
     """prod_{j<n} (l_j - 2)/l_j as an exact rational."""
-    out = Fraction(1)
-    for l in seq.valencies[:n]:
-        out *= Fraction(l - 2, l)
-    return out
+    if not 0 <= n <= len(seq):
+        raise ValueError(f"level {n} outside 0..{len(seq)}")
+    return _alpha_prefixes(seq.valencies)[n]
 
 
 @dataclass

@@ -97,23 +97,16 @@ def distinct_prime_factor_counts(lo: int, hi: int) -> np.ndarray:
 
     if lo < 2 or hi < lo:
         raise ValueError("need 2 <= lo <= hi")
-    vals = np.arange(lo, hi + 1, dtype=np.int64)
-    counts = np.zeros(len(vals), dtype=np.int16)
-    residual = vals.copy()
+    counts = np.zeros(hi - lo + 1, dtype=np.int16)
+    residual = np.arange(lo, hi + 1, dtype=np.int64)
     for p in _sieve_primes(math.isqrt(hi)):
-        start = ((lo + p - 1) // p) * p
-        idx = np.arange(start - lo, len(vals), p)
-        if idx.size == 0:
-            continue
-        counts[idx] += 1
-        r = residual[idx]
-        r //= p
-        while True:
-            div = r % p == 0
-            if not div.any():
-                break
-            r[div] //= p
-        residual[idx] = r
+        # -lo % q is the offset of the first multiple of q in the window
+        counts[-lo % p :: p] += 1
+        q = p
+        while q <= hi:
+            residual[-lo % q :: q] //= p
+            q *= p
+    # what is left above 1 is the one prime factor beyond sqrt(hi)
     counts[residual > 1] += 1
     return counts
 
@@ -233,23 +226,18 @@ class SpectrumResult:
     entries: list[SpectrumEntry]
 
 
-def _realization(q: Fraction, seq: TreeSequence) -> tuple[int, int] | None:
-    if q == 0:
-        return None
-    for n in range(1, len(seq) + 1):
-        k = q * seq.level_size(n)
-        if k.denominator == 1:
-            return n, int(k)
-    return None
-
-
 def spectrum_sample(
     alpha: Fraction,
     seq: TreeSequence,
     max_denominator: int,
     horizon: int,
 ) -> SpectrumResult:
-    """All admissible q = a/b with b <= max_denominator, plus their alpha-multiples."""
+    """All admissible q = a/b with b <= max_denominator, plus their alpha-multiples.
+
+    Admissibility and the witness depend on b alone.  Since gcd(a, b) = 1,
+    q*m_n is an integer exactly when b divides m_n, so the realization
+    level is also found once per b.
+    """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ValueError("target must lie in [0, 1]")
@@ -257,20 +245,26 @@ def spectrum_sample(
         raise ValueError("max denominator must be at least 1")
     entries: list[SpectrumEntry] = []
     for b in range(1, max_denominator + 1):
+        res = denominator_witness(Fraction(1, b), seq, horizon)
+        if not res.found:
+            continue
+        level, m_n = None, 1
+        for n, l in enumerate(seq.valencies, start=1):
+            m_n *= l
+            if m_n % b == 0:
+                level = n
+                break
         for a in range(0, b + 1):
             if math.gcd(a, b) != 1:
                 continue
             q = Fraction(a, b)
-            res = denominator_witness(q, seq, horizon)
-            if not res.found:
-                continue
             entries.append(
                 SpectrumEntry(
                     value=q,
                     text=str(q),
                     provenance="L",
                     witness=res.witness,
-                    realization=_realization(q, seq),
+                    realization=(level, a * m_n // b) if a and level else None,
                 )
             )
             entries.append(
@@ -282,17 +276,9 @@ def spectrum_sample(
                     realization=None,
                 )
             )
+    # each reduced a/b occurs once, so no two entries share a sort key
     entries.sort(key=lambda e: (e.value, e.provenance, e.text))
-    deduped: list[SpectrumEntry] = []
-    for e in entries:
-        if deduped and (deduped[-1].value, deduped[-1].provenance, deduped[-1].text) == (
-            e.value,
-            e.provenance,
-            e.text,
-        ):
-            continue
-        deduped.append(e)
-    return SpectrumResult(alpha, seq.valencies, max_denominator, horizon, deduped)
+    return SpectrumResult(alpha, seq.valencies, max_denominator, horizon, entries)
 
 
 def spectrum_svg(result: SpectrumResult) -> str:

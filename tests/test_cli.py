@@ -8,7 +8,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import spinaldim.cli as cli
 from spinaldim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -205,8 +208,38 @@ def test_repeated_runs_byte_identical():
         assert first[0] == 0
 
 
-# pinned sha256 of stdout: a change in the log-order arithmetic that moves
-# any printed digit fails here
+BITS = cli._INT_TEXT_BITS
+
+
+@given(st.integers(0, 3 * BITS), st.randoms(use_true_random=False), st.booleans())
+@example(0, None, False)
+@example(BITS, None, False)
+@example(BITS + 1, None, True)
+def test_int_text_matches_str(bits, rnd, negative):
+    n = rnd.getrandbits(bits) if rnd else 2**bits - 1
+    n = -n if negative else n
+    assert cli._int_text(n) == str(n)
+
+
+def test_int_text_edges():
+    # powers of ten and their neighbours on both sides of the threshold, and
+    # integers far above 100k digits
+    edges = [10**k + d for k in (9864, 9865, 9866, 40_000) for d in (-1, 0, 1)]
+    edges += [2**BITS, -(2**BITS), 2**(BITS + 1) - 1, -(10**40_000), 7**150_000,
+              -(3**250_000) + 1]
+    for n in edges:
+        assert cli._int_text(n) == str(n)
+
+
+def test_json_text_matches_json_dumps():
+    big = [7**60_000, -(10**12_000), 2**BITS]
+    doc = {"flag": True, "n": 3, "big": big[0], "rows": [{"x": big[1], "y": "1/2"}, big[2]],
+           "none": None, "text": "\u0000 is not a placeholder"}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+# pinned sha256 of stdout: a change in the log-order arithmetic or in the
+# printing of big integers that moves any printed byte fails here
 @pytest.mark.parametrize("argv, digest", [
     ("dim --alpha 1/2 --terms 12 --levels 12 --digits 30",
      "165a43fb258d93aba43af7aa49090ae1f1e1f70cb4b30e022ce61bc010767968"),
@@ -217,6 +250,17 @@ def test_repeated_runs_byte_identical():
     ("scripts/dimension_scan.py --levels 40 --precision 256 --constants 5,7,9,27 "
      "--targets 0.5,0.25,1/3",
      "fae84de1030c26a396a4190411ccc36f1b6936f71c6ca60d56f65b16eb63be4e"),
+    # entries above the fast-conversion threshold, in every printing path
+    ("synth --alpha 1/3 --terms 16 --format json",
+     "ad06c519aca39471bc7f72f22a7b7610ed6e14e49df62db3122ae04823ba91d7"),
+    ("synth --alpha 1/10 --terms 18",
+     "08093cfb86396d3dc4dc50562adc9889cc2c513f91ce1a0e19009bba23e80399"),
+    ("dim --alpha 1/2 --terms 15 --levels 15 --format json",
+     "1a760fd4b124c0ee5654ec6261691b3455d3c1018e4c3dd3615dd35e6dac44d1"),
+    ("dim --alpha 1/2 --terms 15 --levels 15 --precision 256",
+     "cf0ac3c0af1b426d7f148f2ef35d16c37e414b7cd2d1e1734cf78607bdfe3622"),
+    ("spectrum --alpha 1/3 --seq 8,32,32,32,32,32 --max-den 120 --horizon 6",
+     "4f30c423273282c1b79210f13fabea11d8f15cb4439f279723d7df510c6f5e2f"),
 ])
 def test_stdout_digest_pinned(argv, digest):
     argv = argv.split()

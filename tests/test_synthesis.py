@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinaldim import (
     BudgetExceeded,
+    SpectrumResult,
     TreeSequence,
     denominator_witness,
     rigid_product_dimension,
@@ -15,6 +16,7 @@ from spinaldim import (
     synthesize,
     window,
 )
+from spinaldim.synthesis import SpectrumEntry, distinct_prime_factor_counts
 
 SEQ = TreeSequence((5, 13, 133))
 
@@ -154,6 +156,23 @@ def test_prime_rich_first_step():
     assert l == min(ties)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (2, 2),
+    (2, 3000),
+    (4, 4),
+    (49, 49),
+    # dense in prime powers: 2^10, 3^6 * ..., 5^4 * ..., 7^3 * 3, 11^3, 2^11, 3^7
+    (1000, 2200),
+    (2**16 - 200, 2**16 + 200),
+    (3**9 - 100, 3**9 + 100),
+    # 30031 = 59 * 509 has no prime factor below 59
+    (30031, 32031),
+])
+def test_distinct_prime_factor_counts_by_trial_division(lo, hi):
+    counts = distinct_prime_factor_counts(lo, hi)
+    assert counts.tolist() == [count_distinct_primes(n) for n in range(lo, hi + 1)]
+
+
 def test_prime_rich_draws_from_same_window_as_minimal():
     # the admissible window is a function of (alpha, running product) alone,
     # regardless of strategy; after step 0 the traces diverge, so the claim
@@ -263,3 +282,45 @@ def test_spectrum_svg_deterministic_and_self_contained():
     assert svg1.startswith("<svg xmlns=")
     assert svg1.endswith("</svg>")
     assert svg1.count("<path") == len([e for e in res.entries if e.provenance == "L_alpha"])
+
+
+def spectrum_by_fraction(alpha, seq, max_den, horizon):
+    """Reference: witness and realization recomputed for every a/b, then deduplicated."""
+    entries = []
+    for b in range(1, max_den + 1):
+        for a in range(0, b + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            q = Fraction(a, b)
+            res = denominator_witness(q, seq, horizon)
+            if not res.found:
+                continue
+            realization = None
+            if q != 0:
+                for n in range(1, len(seq) + 1):
+                    k = q * seq.level_size(n)
+                    if k.denominator == 1:
+                        realization = (n, int(k))
+                        break
+            entries.append(SpectrumEntry(q, str(q), "L", res.witness, realization))
+            entries.append(SpectrumEntry(q * alpha, f"{q}*alpha", "L_alpha", res.witness, None))
+    entries.sort(key=lambda e: (e.value, e.provenance, e.text))
+    deduped = []
+    for e in entries:
+        if deduped and (deduped[-1].value, deduped[-1].provenance, deduped[-1].text) == (
+            e.value, e.provenance, e.text
+        ):
+            continue
+        deduped.append(e)
+    return SpectrumResult(alpha, seq.valencies, max_den, horizon, deduped)
+
+
+@pytest.mark.parametrize("valencies", [(5, 13, 133), (5, 5, 5), (7, 9, 11, 13), (8, 32, 32)])
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(3, 10)])
+def test_spectrum_sample_matches_per_fraction_reference(valencies, alpha):
+    seq = TreeSequence(valencies)
+    for horizon in range(len(seq) + 1):
+        for max_den in (1, 12, 45):
+            assert spectrum_sample(alpha, seq, max_den, horizon) == spectrum_by_fraction(
+                alpha, seq, max_den, horizon
+            )
