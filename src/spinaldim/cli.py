@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from . import __version__
 from .dimension import dimension_report
 from .errors import BudgetExceeded
@@ -42,6 +40,8 @@ class RunConfig:
 
 
 def _nstr(x, digits: int) -> str:
+    import mpmath
+
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 
@@ -203,6 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    import mpmath
+
     if args.terms < 1:
         raise _Usage("terms must be at least 1")
     cfg = RunConfig("synth", {
@@ -307,6 +309,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    import mpmath
+
     try:
         seq = TreeSequence.from_text(args.seq)
     except ValueError as exc:

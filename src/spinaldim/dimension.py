@@ -29,12 +29,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-from mpmath import mpf
+from typing import TYPE_CHECKING
 
 from .trees import TreeSequence
 from .wreath import _GUARD_BITS, log_order_sums
+
+if TYPE_CHECKING:
+    from mpmath import mpf
 
 _MIN_PRECISION = 64
 
@@ -90,6 +91,8 @@ def envelope_bounds(seq: TreeSequence, n: int, precision_bits: int = 128) -> Env
     dropped; ``lower`` and ``upper`` must bracket it, T2 <= T1 always, and
     for nondecreasing sequences T1 <= 8/l_{n-1}.
     """
+    import mpmath
+
     _require_precision(precision_bits)
     _require_subgroup_side(seq, n)
     if not 1 <= n <= len(seq):
@@ -143,6 +146,8 @@ class DimensionReport:
 
 def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> DimensionRow:
     """The level-n quotient d_n together with its envelope row."""
+    import mpmath
+
     _require_precision(precision_bits)
     _require_subgroup_side(seq, n)
     if not 1 <= n <= len(seq):
@@ -164,6 +169,8 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
 
 def dimension_report(seq: TreeSequence, levels: int, precision_bits: int = 128) -> DimensionReport:
     """Rows for n = 1..levels plus tail liminf/limsup estimates."""
+    import mpmath
+
     if levels < 1:
         raise ValueError("need at least one level")
     if levels > len(seq):
@@ -207,6 +214,8 @@ def chain_rule_table(
 
     The three sequences must be nested by entrywise subtraction of 2.
     """
+    import mpmath
+
     _require_precision(precision_bits)
     if n_max < 1 or n_max > min(len(seq_g), len(seq_h), len(seq_k)):
         raise ValueError("n_max outside the common sequence range")
@@ -256,6 +265,8 @@ def rigid_product_partial(
     Converges to k/m_n from below as m grows: the numerator only collects
     the tail of the ambient log-order that lies below the chosen vertices.
     """
+    import mpmath
+
     _require_precision(precision_bits)
     m_n = seq.level_size(n)
     if not 1 <= k <= m_n:

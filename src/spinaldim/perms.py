@@ -85,9 +85,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(y == i + 1 for i, y in enumerate(self.images))
 
-    def moved_points(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, y in enumerate(self.images) if y != i + 1)
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Canonical cycle decomposition.
 

@@ -19,11 +19,16 @@ with :class:`~spinaldim.errors.BudgetExceeded` when that matrix would
 exceed ``_VERIFY_BYTES_LIMIT``.
 
 Internally permutations are 0-based tuples; the public API speaks
-:class:`~spinaldim.perms.Permutation`.
+:class:`~spinaldim.perms.Permutation`.  Composition gathers the images in
+one C call (``operator.itemgetter``), and each orbit grows by a FIFO
+breadth-first search that gathers the level's generators only once the
+new generator has produced a new point.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from operator import itemgetter
 from random import Random
 
 from .errors import BudgetExceeded
@@ -37,7 +42,10 @@ _VERIFY_BYTES_LIMIT = 1 << 30
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Product applying b first: (a*b)(x) = a(b(x))."""
-    return tuple(a[x] for x in b)
+    if len(b) < 2:
+        # itemgetter of a single index returns the item, not a 1-tuple
+        return tuple(a[x] for x in b)
+    return itemgetter(*b)(a)
 
 
 def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -48,7 +56,7 @@ def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _is_id(a: tuple[int, ...]) -> bool:
-    return all(i == y for i, y in enumerate(a))
+    return a == tuple(range(len(a)))
 
 
 class _Level:
@@ -190,7 +198,7 @@ class StabilizerChain:
     def _extend_orbit(self, level: int, new_gen: tuple[int, ...]) -> None:
         """Grow the level's orbit after new_gen joined its generating set."""
         lv = self._levels[level]
-        queue = []
+        queue = deque()
         for a in list(lv.transversal):
             b = new_gen[a]
             if b not in lv.transversal:
@@ -198,9 +206,11 @@ class StabilizerChain:
                 lv.transversal[b] = u_b
                 lv.inv_transversal[b] = _inv(u_b)
                 queue.append(b)
+        if not queue:
+            return
         gens = self._gens_at(level)
         while queue:
-            a = queue.pop(0)
+            a = queue.popleft()
             u_a = lv.transversal[a]
             for g in gens:
                 b = g[a]

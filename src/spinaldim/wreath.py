@@ -3,9 +3,11 @@
 The full group of even-labeled automorphisms of a depth-n truncation has
 order  prod_{i<n} (l_i!/2)^{m_i}  with m_i the size of level i.  The same
 closed form over the shifted sequence (l_i - 2) gives the finitely
-generated subgroup's quotients.  ``log_order_sums`` makes one pass over a
-sequence and keeps every weighted log sum the quotient, dimension and
-envelope code divides, so each level reads its logs off prefix sums.
+generated subgroup's quotients.  ``exact_wreath_order`` multiplies it out
+as an exact integer after a float estimate of its digit count, with no
+mpmath.  ``log_order_sums`` makes one pass over a sequence and keeps every
+weighted log sum the quotient, dimension and envelope code divides, so
+each level reads its logs off prefix sums.
 ``verify_level_action`` checks the four generators really produce a group
 of that order at desk scale, using the stabilizer chain as the independent
 counter.  When the generators' labels prove the closed form is an upper
@@ -18,9 +20,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-
-import mpmath
-from mpmath import mpf
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, DegreeCapExceeded
 from .perms import alt_generators, embedded_alt_generators
@@ -28,11 +28,16 @@ from .portraits import Portrait
 from .schreier import StabilizerChain
 from .trees import TreeSequence
 
+if TYPE_CHECKING:
+    from mpmath import mpf
+
 _GUARD_BITS = 32
 
 
 def lnfact(n: int, precision_bits: int = 128) -> mpf:
     """ln(n!) as log-gamma of n + 1, worked at precision_bits plus guard bits."""
+    import mpmath
+
     if n < 0:
         raise ValueError("factorial argument must be nonnegative")
     with mpmath.workprec(precision_bits + _GUARD_BITS):
@@ -72,6 +77,8 @@ class LogOrderSums:
 @functools.lru_cache(maxsize=8)
 def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderSums:
     """All prefix sums of ``LogOrderSums`` in one pass, at precision_bits plus guard bits."""
+    import mpmath
+
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         zero = mpmath.mpf(0)
         rows = [(zero,) * 6 + (0, 0)]
@@ -110,6 +117,8 @@ def stirling_envelope(n: int, precision_bits: int = 128) -> tuple[mpf, mpf]:
     lower = 1 + n(ln n - 1), upper = 1 + (n+1)(ln(n+1) - 1); the lower
     bound is attained at n = 1.
     """
+    import mpmath
+
     if n < 1:
         raise ValueError("envelope needs n >= 1")
     with mpmath.workprec(precision_bits + _GUARD_BITS):
@@ -129,6 +138,36 @@ class QuotientOrder:
     precision_bits: int
 
 
+def exact_wreath_order(valencies: tuple[int, ...], digit_budget: int = 100_000) -> int:
+    """prod_j (l_j!/2)^{m_j} over the given levels, as an exact integer.
+
+    Refuses with BudgetExceeded, before multiplying anything out, when the
+    product would have more than digit_budget decimal digits.  The estimate
+    is the float sum of m_j (ln l_j! - ln 2) / ln 10.
+    """
+    try:
+        digits = 0.0
+        m = 1
+        for l in valencies:
+            digits += m * ((math.lgamma(l + 1) - math.log(2)) / math.log(10))
+            m *= l
+    except OverflowError:
+        digits = math.inf
+    if digits > digit_budget:
+        raise BudgetExceeded(
+            f"exact order needs about {digits:.3g} digits (budget {digit_budget}); "
+            "use the log variant",
+            required=digits,
+            limit=digit_budget,
+        )
+    exact = 1
+    m = 1
+    for l in valencies:
+        exact *= (math.factorial(l) // 2) ** m
+        m *= l
+    return exact
+
+
 def wreath_quotient_order(
     seq: TreeSequence,
     n: int,
@@ -139,29 +178,16 @@ def wreath_quotient_order(
     """prod_{i<n} (l_i!/2)^{m_i}, exactly or as a log.
 
     The exact variant refuses to materialize integers beyond digit_budget
-    decimal digits and directs the caller to the log variant instead.
+    decimal digits and directs the caller to the log variant instead; its
+    integer comes from ``exact_wreath_order`` and its log from
+    ``log_order_sums``.
     """
     if variant not in ("exact", "log"):
         raise ValueError(f"unknown variant {variant!r}")
     if n > len(seq):
         raise ValueError(f"level {n} exceeds sequence length {len(seq)}")
+    exact = exact_wreath_order(seq.valencies[:n], digit_budget) if variant == "exact" else None
     log_value = log_order_sums(seq.valencies[:n], precision_bits).order[n]
-    exact = None
-    if variant == "exact":
-        with mpmath.workprec(precision_bits + _GUARD_BITS):
-            digits = float(log_value / mpmath.log(10))
-        if digits > digit_budget:
-            raise BudgetExceeded(
-                f"exact order needs about {digits:.3g} digits (budget {digit_budget}); "
-                "use the log variant",
-                required=digits,
-                limit=digit_budget,
-            )
-        exact = 1
-        m = 1
-        for l in seq.valencies[:n]:
-            exact *= (math.factorial(l) // 2) ** m
-            m *= l
     return QuotientOrder(seq.valencies[:n], n, exact, log_value, precision_bits)
 
 
@@ -268,7 +294,7 @@ def verify_level_action(
         target = TreeSequence(seq.valencies[:n])
     else:
         raise ValueError(f"group must be 'G' or 'H', got {which!r}")
-    expected = wreath_quotient_order(target, n, "exact").exact
+    expected = exact_wreath_order(target.valencies)
     portraits = spinal_group_portraits(seq, n, which)
     images = [p.level_permutation(n) for p in portraits]
     bound = expected if labels_in_wreath_product(portraits, which) else None

@@ -76,6 +76,19 @@ def test_verify_cap_refusal_exit_four():
     assert "cap" in err
 
 
+def test_verify_digit_budget_refusal_exit_four():
+    # without the refusal this would build a 390625-point chain
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinaldim.cli", "verify", "--seq", "5,5,5,5,5,5,5,5",
+         "--level", "8", "--cap", "400000"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert proc.stderr == ("refused: exact order needs about 1.74e+05 digits "
+                           "(budget 100000); use the log variant\n")
+
+
 def test_verify_fallback_budget_exit_four(monkeypatch):
     import spinaldim.schreier as schreier
 

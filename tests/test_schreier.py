@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spinaldim import (
     BudgetExceeded,
@@ -16,7 +19,11 @@ from spinaldim import (
     embedded_alt_generators,
     spinal_group_portraits,
 )
+from spinaldim.schreier import _is_id, _mul
+from spinaldim.wreath import exact_wreath_order, labels_in_wreath_product
 from tests.test_perms import bfs_closure
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_empty_generator_list():
@@ -159,9 +166,78 @@ def test_verify_pass_refuses_above_byte_budget(monkeypatch):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, spinaldim.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.strip() == "False"
+    # neither numpy nor mpmath, after the import or after a verify certified by
+    # its order bound; every layer module still loads (perfbench/layers.py
+    # wraps them all)
+    layers = ("cli", "perms", "trees", "portraits", "schreier", "wreath", "dimension",
+              "synthesis")
+    code = (
+        "import sys, spinaldim.cli\n"
+        "def report():\n"
+        f"    loaded = [m for m in {layers!r} if 'spinaldim.' + m in sys.modules]\n"
+        "    print(len(loaded), 'mpmath' in sys.modules, 'numpy' in sys.modules,\n"
+        "          file=sys.stderr)\n"
+        "report()\n"
+        "rc = spinaldim.cli.main(['verify', '--seq', '7,7', '--level', '2'])\n"
+        "report()\n"
+        "sys.exit(rc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert '"certificate": "order-bound"' in proc.stdout
+    assert proc.stderr.splitlines() == ["8 False False", "8 False False"]
+
+
+def _slow_mul(a, b):
+    return tuple(a[x] for x in b)
+
+
+def _slow_is_id(a):
+    return all(i == y for i, y in enumerate(a))
+
+
+def _perms(n):
+    return st.one_of(st.just(tuple(range(n))), st.permutations(range(n)).map(tuple))
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(_perms(n), _perms(n))))
+@example(((0,), (0,)))
+@example(((1, 0), (0, 1)))
+@example(((1, 0), (1, 0)))
+def test_mul_and_is_id_match_generator_versions(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        product = _mul(x, y)
+        assert type(product) is tuple
+        assert product == _slow_mul(x, y)
+        assert _is_id(product) == _slow_is_id(product)
+    assert _is_id(a) == _slow_is_id(a)
+
+
+# Chains recorded with the generator-expression composition and the list
+# queue BFS: the same seed must give the same base, strong generators and
+# certificate.
+@pytest.mark.parametrize("seq, level, group, seed, base_len, n_strong, order, cert, digest", [
+    ((11, 11), 2, "G", 67, 99, 141, (math.factorial(11) // 2) ** 12, "order-bound",
+     "afba48e8de5842a36a206f61b4133cd4ed558ef03b4b8fcecb4dd867f8724dfe"),
+    ((5, 5, 5), 3, "G", 33, 75, 99, 60 ** 31, "order-bound",
+     "99d917dfa19a25037304048951df7bdaa171fa1a2d48441267bfeda13e9dfdf4"),
+    ((61,), 1, "H", 43, 57, 82, math.factorial(59) // 2, "order-bound",
+     "22fd076a8d69188cce9a65fdb83a126ffd119447212bb920e4363ea3428f0dbe"),
+    ((5, 5, 5), 3, "H", 1, 7, 8, 3 ** 10, "schreier",
+     "941c962a6efde18b22e5eb5ef9c6506a18f92e2a07a5d7c1c6dc580152dec982"),
+])
+def test_pinned_chains(seq, level, group, seed, base_len, n_strong, order, cert, digest):
+    portraits = spinal_group_portraits(TreeSequence(seq), level, group)
+    shift = 2 if group == "H" else 0
+    bound = None
+    if labels_in_wreath_product(portraits, group):
+        bound = exact_wreath_order(tuple(l - shift for l in seq))
+    chain = StabilizerChain([p.level_permutation(level) for p in portraits], seed=seed,
+                            order_bound=bound)
+    strong = chain.strong_generators()
+    assert (len(chain.base()), len(strong), chain.order(), chain.certificate) == (
+        base_len, n_strong, order, cert)
+    text = repr((chain.base(), [g.images for g in strong]))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -17,7 +17,7 @@ from spinaldim import (
     verify_level_action,
     wreath_quotient_order,
 )
-from spinaldim.wreath import labels_in_wreath_product
+from spinaldim.wreath import exact_wreath_order, labels_in_wreath_product
 
 
 def test_lnfact_against_loggamma():
@@ -231,3 +231,15 @@ def test_degree_343_verify_uses_order_bound():
     assert r.degree == 343
     assert r.match and r.expected == (math.factorial(7) // 2) ** (1 + 7 + 49)
     assert r.certificate == "order-bound"
+
+
+@pytest.mark.parametrize("valencies", [(5,), (5, 5, 5, 5, 5, 5, 5, 5), (5, 13, 133, 17293),
+                                       (3,) * 12, (61, 59)])
+def test_exact_order_digit_estimate_matches_log_value(valencies):
+    seq = TreeSequence(valencies)
+    log_value = wreath_quotient_order(seq, len(seq), variant="log").log_value
+    with mpmath.workprec(160):
+        digits = float(log_value / mpmath.log(10))
+    with pytest.raises(BudgetExceeded) as err:
+        exact_wreath_order(valencies, digit_budget=0)
+    assert err.value.required == pytest.approx(digits, rel=1e-12)
