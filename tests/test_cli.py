@@ -274,6 +274,15 @@ def test_json_text_matches_json_dumps():
      "cf0ac3c0af1b426d7f148f2ef35d16c37e414b7cd2d1e1734cf78607bdfe3622"),
     ("spectrum --alpha 1/3 --seq 8,32,32,32,32,32 --max-den 120 --horizon 6",
      "4f30c423273282c1b79210f13fabea11d8f15cb4439f279723d7df510c6f5e2f"),
+    # portrait dumps and an H verify, so the portrait and chain code keep their bytes
+    ("portrait --gen psi --seq 5,5,5 --depth 3",
+     "f2e8438c5542e1b9e4e3a5c3aaf1f8be9a6bc6fd4ff5414d39d526acb68339a4"),
+    ("portrait --gen psi --seq 5,5,5 --depth 3 --format json",
+     "cda697ffbbb096b7c0192fd3349422ecd7239fad1319092cd97e89cccb139e52"),
+    ("portrait --gen theta --seq 7,7,7 --depth 3 --format json",
+     "fbb3932446dacd5930fab4abffdd250a710a5be44d4e7f622b1da25fa9c7edb0"),
+    ("verify --seq 7,7 --level 2 --group H --seed 54",
+     "e091f4fe06ca77de7c010c8d965e271340e72ef544204d1198d705ef7d73e285"),
 ])
 def test_stdout_digest_pinned(argv, digest):
     argv = argv.split()
