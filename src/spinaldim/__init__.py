@@ -20,7 +20,7 @@ from .dimension import (
 )
 from .errors import BudgetExceeded, DegreeCapExceeded
 from .perms import Permutation, alt_generators, embedded_alt_generators
-from .portraits import Portrait, embed_at
+from .portraits import Portrait
 from .schreier import StabilizerChain
 from .synthesis import (
     MembershipResult,
@@ -34,12 +34,10 @@ from .synthesis import (
 )
 from .trees import TreeSequence, Vertex
 from .wreath import (
-    QuotientOrder,
     lnfact,
     spinal_group_portraits,
     stirling_envelope,
     verify_level_action,
-    wreath_quotient_order,
 )
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "MembershipResult",
     "Permutation",
     "Portrait",
-    "QuotientOrder",
     "SpectrumResult",
     "StabilizerChain",
     "SynthesisTrace",
@@ -59,7 +56,6 @@ __all__ = [
     "chain_rule_table",
     "denominator_witness",
     "dimension_report",
-    "embed_at",
     "embedded_alt_generators",
     "envelope_bounds",
     "lnfact",
@@ -73,5 +69,4 @@ __all__ = [
     "synthesize",
     "verify_level_action",
     "window",
-    "wreath_quotient_order",
 ]

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .trees import TreeSequence
-from .wreath import _GUARD_BITS, log_order_sums
+from .wreath import _GUARD_BITS, _require_subgroup_side, log_order_sums
 
 if TYPE_CHECKING:
     from mpmath import mpf
@@ -43,12 +43,6 @@ _MIN_PRECISION = 64
 def _require_precision(precision_bits: int) -> None:
     if precision_bits < _MIN_PRECISION:
         raise ValueError(f"precision {precision_bits} below the {_MIN_PRECISION}-bit floor")
-
-
-def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
-    for l in seq.valencies[:n]:
-        if l < 5:
-            raise ValueError(f"valency {l} < 5; the shifted side needs l - 2 >= 3")
 
 
 @functools.lru_cache(maxsize=8)

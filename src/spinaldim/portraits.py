@@ -5,9 +5,6 @@ A portrait of depth N over a tree sequence assigns to each vertex of level
 The automorphism moves a path top-down: letter x_i is sent through the
 label found at the source prefix (x_1, ..., x_{i-1}), so for g applied to
 yz the image is g(y) followed by the section of g at y applied to z.
-
-Composition follows the package convention (right factor acts first):
-the label of p * q at vertex u is label_p(q(u)) * label_q(u).
 """
 
 from __future__ import annotations
@@ -43,10 +40,6 @@ class Portrait:
         self.labels = clean
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def identity(cls, seq: TreeSequence, depth: int) -> "Portrait":
-        return cls(seq, depth)
 
     @classmethod
     def rooted(cls, perm: Permutation, seq: TreeSequence, depth: int) -> "Portrait":
@@ -87,13 +80,6 @@ class Portrait:
 
     # -- basic queries -----------------------------------------------------
 
-    def label_at(self, v: Vertex) -> Permutation:
-        v = tuple(v)
-        got = self.labels.get(v)
-        if got is not None:
-            return got
-        return Permutation.identity(self.seq[len(v)])
-
     def apply(self, v: Vertex) -> Vertex:
         """Image of a vertex, walking the source path from the root."""
         v = tuple(v)
@@ -106,20 +92,6 @@ class Portrait:
             out.append(label(x) if label is not None else x)
         return tuple(out)
 
-    def section(self, v: Vertex) -> "Portrait":
-        """The automorphism induced on the subtree below the source vertex v."""
-        v = tuple(v)
-        self.seq.validate_vertex(v)
-        if len(v) > self.depth:
-            raise ValueError("section vertex below portrait depth")
-        sub = self.seq.subtree_sequence(len(v))
-        labels = {
-            u[len(v):]: perm
-            for u, perm in self.labels.items()
-            if u[: len(v)] == v
-        }
-        return Portrait(sub, self.depth - len(v), labels)
-
     def level_permutation(self, n: int) -> Permutation:
         """The permutation induced on the lexicographically indexed level n."""
         if not 0 <= n <= self.depth:
@@ -128,71 +100,6 @@ class Portrait:
         for i, v in enumerate(self.seq.vertices(n)):
             images[i] = self.seq.vertex_index(self.apply(v))
         return Permutation(tuple(images))
-
-    def is_identity(self) -> bool:
-        return not self.labels
-
-    # -- group structure ---------------------------------------------------
-
-    def _require_compatible(self, other: "Portrait") -> None:
-        if self.seq.valencies != other.seq.valencies:
-            raise ValueError("portraits live on different trees")
-        if self.depth != other.depth:
-            raise ValueError(f"depth mismatch: {self.depth} != {other.depth}")
-
-    def __mul__(self, other: "Portrait") -> "Portrait":
-        """Composition, right factor acting first."""
-        self._require_compatible(other)
-        other_inv = other.inverse()
-        candidates = set(other.labels)
-        candidates.update(other_inv.apply(w) for w in self.labels)
-        labels = {}
-        for u in candidates:
-            perm = self.label_at(other.apply(u)) * other.label_at(u)
-            if not perm.is_identity():
-                labels[u] = perm
-        return Portrait(self.seq, self.depth, labels)
-
-    def inverse(self) -> "Portrait":
-        labels = {self.apply(v): perm.inverse() for v, perm in self.labels.items()}
-        return Portrait(self.seq, self.depth, labels)
-
-    def __pow__(self, n: int) -> "Portrait":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Portrait.identity(self.seq, self.depth)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def truncate(self, d: int) -> "Portrait":
-        """Forget all labels at level >= d."""
-        if not 0 <= d <= self.depth:
-            raise ValueError(f"cannot truncate depth {self.depth} to {d}")
-        labels = {v: p for v, p in self.labels.items() if len(v) < d}
-        return Portrait(self.seq, d, labels)
-
-    def equal_to_depth(self, other: "Portrait", d: int) -> bool:
-        if self.seq.valencies != other.seq.valencies:
-            raise ValueError("portraits live on different trees")
-        if d > min(self.depth, other.depth):
-            raise ValueError("comparison depth exceeds a portrait depth")
-        return self.truncate(d).labels == other.truncate(d).labels
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Portrait):
-            return NotImplemented
-        return (
-            self.seq.valencies == other.seq.valencies
-            and self.depth == other.depth
-            and self.labels == other.labels
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"Portrait(depth={self.depth}, labels={len(self.labels)})"
@@ -213,17 +120,3 @@ class Portrait:
             for v in sorted(self.labels)
         ]
 
-
-def embed_at(p: Portrait, v: Vertex, host: TreeSequence) -> Portrait:
-    """Copy p into the subtree below v; the result acts trivially elsewhere.
-
-    p must live on the subtree sequence of the host at level(v); the result
-    has depth level(v) + depth(p).
-    """
-    v = tuple(v)
-    host.validate_vertex(v)
-    expected = host.subtree_sequence(len(v)).valencies[: p.depth]
-    if p.seq.valencies[: p.depth] != expected:
-        raise ValueError("portrait does not match the host subtree sequence")
-    labels = {v + u: perm for u, perm in p.labels.items()}
-    return Portrait(host, len(v) + p.depth, labels)

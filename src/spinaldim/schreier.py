@@ -1,4 +1,4 @@
-"""Order and membership oracle for permutation groups (Schreier-Sims).
+"""Order oracle for permutation groups (Schreier-Sims).
 
 The chain is built by a seeded randomized fill (product replacement) and
 then certified in one of two ways, so the final structure is exact
@@ -138,21 +138,6 @@ class StabilizerChain:
             for g in lv.gens:
                 out.append(Permutation(tuple(x + 1 for x in g)))
         return out
-
-    def contains(self, g: Permutation) -> bool:
-        if g.degree != self.degree:
-            raise ValueError(f"degree mismatch: {g.degree} != {self.degree}")
-        residue, _ = self._sift(tuple(x - 1 for x in g.images))
-        return _is_id(residue)
-
-    def random_element(self, rng: Random | None = None) -> Permutation:
-        """Uniform random element (the chain is complete, so this is exact)."""
-        rng = rng or self._rng
-        word = self._identity
-        for lv in self._levels:
-            pt = rng.choice(sorted(lv.transversal))
-            word = _mul(lv.transversal[pt], word)
-        return Permutation(tuple(x + 1 for x in word))
 
     # -- construction ----------------------------------------------------
 

@@ -74,8 +74,7 @@ class SynthesisTrace:
     def sequence(self) -> TreeSequence:
         if self.degenerate is not None:
             raise ValueError(f"degenerate trace ({self.degenerate}) has no sequence")
-        marker = f"target={self.alpha}:{self.strategy}"
-        return TreeSequence(tuple(s.l for s in self.steps), extends=marker)
+        return TreeSequence(tuple(s.l for s in self.steps))
 
 
 def _sieve_primes(limit: int) -> list[int]:

@@ -21,14 +21,9 @@ Vertex = tuple[int, ...]
 
 @dataclass(frozen=True)
 class TreeSequence:
-    """Finite prefix of a valency sequence, each entry >= 3.
-
-    ``extends`` is an optional marker naming the rule that produced the
-    prefix when it comes from a synthesized infinite sequence.
-    """
+    """Finite prefix of a valency sequence, each entry >= 3."""
 
     valencies: tuple[int, ...]
-    extends: str | None = None
 
     def __post_init__(self) -> None:
         vals = tuple(int(v) for v in self.valencies)
@@ -38,12 +33,12 @@ class TreeSequence:
                 raise ValueError(f"valency {v} < 3 makes the level action trivial")
 
     @classmethod
-    def from_text(cls, text: str, extends: str | None = None) -> "TreeSequence":
+    def from_text(cls, text: str) -> "TreeSequence":
         """Parse a comma-separated list such as "5,13,133"."""
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
             raise ValueError("empty valency sequence")
-        return cls(tuple(int(p) for p in parts), extends)
+        return cls(tuple(int(p) for p in parts))
 
     def to_text(self) -> str:
         return ",".join(str(v) for v in self.valencies)
@@ -71,11 +66,6 @@ class TreeSequence:
             m *= v
         return m
 
-    def subtree_sequence(self, n: int) -> "TreeSequence":
-        """The valency sequence (l_n, l_{n+1}, ...) of a level-n subtree."""
-        self._check_level(n)
-        return TreeSequence(self.valencies[n:])
-
     def validate_vertex(self, v: Vertex) -> None:
         self._check_level(len(v))
         for i, x in enumerate(v):
@@ -89,18 +79,6 @@ class TreeSequence:
         for i, x in enumerate(v):
             idx = idx * self.valencies[i] + (x - 1)
         return idx + 1
-
-    def index_vertex(self, n: int, i: int) -> Vertex:
-        """Inverse of vertex_index: the i-th vertex of level n, 1 <= i <= m_n."""
-        size = self.level_size(n)
-        if not 1 <= i <= size:
-            raise ValueError(f"index {i} outside 1..{size} at level {n}")
-        rem = i - 1
-        letters = []
-        for val in reversed(self.valencies[:n]):
-            rem, digit = divmod(rem, val)
-            letters.append(digit + 1)
-        return tuple(reversed(letters))
 
     def vertices(self, n: int) -> Iterator[Vertex]:
         """All level-n vertices in lexicographic order."""

@@ -127,17 +127,6 @@ def stirling_envelope(n: int, precision_bits: int = 128) -> tuple[mpf, mpf]:
         return lo, hi
 
 
-@dataclass
-class QuotientOrder:
-    """Order of a truncated quotient, exactly and/or as a natural log."""
-
-    sequence: tuple[int, ...]
-    level: int
-    exact: int | None
-    log_value: mpf
-    precision_bits: int
-
-
 def exact_wreath_order(valencies: tuple[int, ...], digit_budget: int = 100_000) -> int:
     """prod_j (l_j!/2)^{m_j} over the given levels, as an exact integer.
 
@@ -166,29 +155,6 @@ def exact_wreath_order(valencies: tuple[int, ...], digit_budget: int = 100_000) 
         exact *= (math.factorial(l) // 2) ** m
         m *= l
     return exact
-
-
-def wreath_quotient_order(
-    seq: TreeSequence,
-    n: int,
-    variant: str = "exact",
-    precision_bits: int = 128,
-    digit_budget: int = 100_000,
-) -> QuotientOrder:
-    """prod_{i<n} (l_i!/2)^{m_i}, exactly or as a log.
-
-    The exact variant refuses to materialize integers beyond digit_budget
-    decimal digits and directs the caller to the log variant instead; its
-    integer comes from ``exact_wreath_order`` and its log from
-    ``log_order_sums``.
-    """
-    if variant not in ("exact", "log"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if n > len(seq):
-        raise ValueError(f"level {n} exceeds sequence length {len(seq)}")
-    exact = exact_wreath_order(seq.valencies[:n], digit_budget) if variant == "exact" else None
-    log_value = log_order_sums(seq.valencies[:n], precision_bits).order[n]
-    return QuotientOrder(seq.valencies[:n], n, exact, log_value, precision_bits)
 
 
 def spinal_group_portraits(seq: TreeSequence, depth: int, which: str) -> list[Portrait]:
@@ -241,6 +207,13 @@ def labels_in_wreath_product(portraits: list[Portrait], which: str) -> bool:
     return True
 
 
+def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
+    """Refuse a prefix whose shifted valencies l_j - 2, j < n, fall below 3."""
+    for l in seq.valencies[:n]:
+        if l < 5:
+            raise ValueError(f"valency {l} < 5; the shifted side needs l - 2 >= 3")
+
+
 @dataclass
 class LevelActionReport:
     sequence: tuple[int, ...]
@@ -289,12 +262,12 @@ def verify_level_action(
         )
     start = time.perf_counter()
     if which == "H":
-        target = TreeSequence(tuple(l - 2 for l in seq.valencies[:n]))
+        _require_subgroup_side(seq, n)
+        expected = exact_wreath_order(tuple(l - 2 for l in seq.valencies[:n]))
     elif which == "G":
-        target = TreeSequence(seq.valencies[:n])
+        expected = exact_wreath_order(seq.valencies[:n])
     else:
         raise ValueError(f"group must be 'G' or 'H', got {which!r}")
-    expected = exact_wreath_order(target.valencies)
     portraits = spinal_group_portraits(seq, n, which)
     images = [p.level_permutation(n) for p in portraits]
     bound = expected if labels_in_wreath_product(portraits, which) else None

@@ -70,6 +70,14 @@ def test_verify_h_group():
     assert json.loads(out)["expected"] == "81"
 
 
+@pytest.mark.parametrize("seq, level", [("4,4", "1"), ("5,4", "2")])
+def test_verify_h_names_the_given_valency(seq, level):
+    code, out, err = run_cli("verify", "--seq", seq, "--level", level, "--group", "H")
+    assert code == 2
+    assert out == ""
+    assert err == "error: valency 4 < 5; the shifted side needs l - 2 >= 3\n"
+
+
 def test_verify_cap_refusal_exit_four():
     code, _, err = run_cli("verify", "--seq", "5,5,5,5,5", "--level", "5")
     assert code == 4

@@ -26,11 +26,18 @@ from tests.test_perms import bfs_closure
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def random_word(gens, length, rng):
+    word = Permutation.identity(gens[0].degree)
+    for _ in range(length):
+        word = word * rng.choice(gens) ** rng.randint(1, 4)
+    return word
+
+
 def test_empty_generator_list():
     chain = StabilizerChain([], degree=5)
     assert chain.order() == 1
-    assert chain.contains(Permutation.identity(5))
-    assert not chain.contains(Permutation.from_cycles(5, [(1, 2, 3)]))
+    assert chain.base() == ()
+    assert StabilizerChain([Permutation.identity(5)]).order() == 1
 
 
 def test_empty_generators_need_degree():
@@ -45,21 +52,19 @@ def test_alt5_order_against_closure():
 
 
 def test_membership():
+    # g lies in <tau, sigma> exactly when adding it leaves the order at 60
     tau, sigma = alt_generators(5)
-    chain = StabilizerChain([tau, sigma])
-    assert not chain.contains(Permutation.from_cycles(5, [(1, 2)]))
-    assert chain.contains(tau)
-    assert chain.contains(sigma)
-    assert chain.contains(sigma * tau * sigma ** 3)
+    for g in (tau, sigma, sigma * tau * sigma ** 3):
+        assert StabilizerChain([tau, sigma, g]).order() == 60
+    assert StabilizerChain([tau, sigma, Permutation.from_cycles(5, [(1, 2)])]).order() == 120
 
 
 def test_degree_mismatch():
     tau, _ = alt_generators(5)
-    chain = StabilizerChain([tau])
-    with pytest.raises(ValueError):
-        chain.contains(Permutation.identity(6))
     with pytest.raises(ValueError):
         StabilizerChain([tau, Permutation.identity(6)])
+    with pytest.raises(ValueError):
+        StabilizerChain([tau], degree=6)
 
 
 def test_embedded_order_by_brute_force():
@@ -86,7 +91,7 @@ def test_subgroup_order_divides_group_order():
     rng = Random(99)
     tau, sigma = alt_generators(9)
     full = StabilizerChain([tau, sigma])
-    elements = [full.random_element(rng) for _ in range(6)]
+    elements = [random_word([tau, sigma], 12, rng) for _ in range(6)]
     for trial in range(8):
         subset = rng.sample(elements, rng.randint(1, 3))
         sub = StabilizerChain(subset)
@@ -94,20 +99,20 @@ def test_subgroup_order_divides_group_order():
 
 
 def test_random_words_are_members():
+    # a member added as a generator leaves the order unchanged
     rng = Random(5)
     kappa, rho = embedded_alt_generators(11)
-    chain = StabilizerChain([kappa, rho])
-    word = Permutation.identity(11)
-    for _ in range(40):
-        word = word * (kappa if rng.random() < 0.5 else rho) ** rng.randint(1, 4)
-        assert chain.contains(word)
+    order = StabilizerChain([kappa, rho]).order()
+    for _ in range(8):
+        word = random_word([kappa, rho], 40, rng)
+        assert StabilizerChain([kappa, rho, word]).order() == order
 
 
 def test_strong_generators_sift_to_identity():
     tau, sigma = alt_generators(8)
     chain = StabilizerChain([tau, sigma])
     for g in chain.strong_generators():
-        assert chain.contains(g)
+        assert _is_id(chain._sift(tuple(x - 1 for x in g.images))[0])
     assert chain.order() == math.factorial(8) // 2
 
 

@@ -84,7 +84,6 @@ def test_golden_synthesis_alpha_half():
         Fraction(4323, 8645),
     ]
     assert trace.sequence().valencies == (5, 13, 133)
-    assert trace.sequence().extends == "target=1/2:minimal"
 
 
 def test_geometric_decay_witness():

@@ -43,7 +43,7 @@ def test_vertex_index_examples():
     assert seq.vertex_index((2, 3)) == 8
     # oracle: position in the full lexicographic enumeration
     assert list(seq.vertices(2)).index((2, 3)) + 1 == 8
-    assert seq.index_vertex(2, 25) == (5, 5)
+    assert seq.vertex_index((5, 5)) == 25
 
 
 def test_vertex_index_range_errors():
@@ -51,16 +51,9 @@ def test_vertex_index_range_errors():
     with pytest.raises(ValueError):
         seq.vertex_index((6, 1))
     with pytest.raises(ValueError):
-        seq.index_vertex(2, 26)
+        seq.vertex_index((1, 0))
     with pytest.raises(ValueError):
-        seq.index_vertex(2, 0)
-
-
-def test_subtree_sequence_examples():
-    seq = TreeSequence((5, 7, 9))
-    assert seq.subtree_sequence(1).valencies == (7, 9)
-    assert seq.subtree_sequence(0).valencies == (5, 7, 9)
-    assert seq.subtree_sequence(3).valencies == ()
+        seq.vertex_index((1, 1, 1))
 
 
 def test_from_text_round_trip():
@@ -81,7 +74,7 @@ def test_level_size_recurrence(seq):
 def test_index_round_trip(seq, data):
     n = data.draw(st.integers(min_value=0, max_value=len(seq)))
     i = data.draw(st.integers(min_value=1, max_value=seq.level_size(n)))
-    v = seq.index_vertex(n, i)
+    v = next(v for j, v in enumerate(seq.vertices(n), 1) if j == i)
     assert seq.vertex_index(v) == i
     assert len(v) == n
 

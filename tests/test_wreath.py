@@ -15,9 +15,8 @@ from spinaldim import (
     spinal_group_portraits,
     stirling_envelope,
     verify_level_action,
-    wreath_quotient_order,
 )
-from spinaldim.wreath import exact_wreath_order, labels_in_wreath_product
+from spinaldim.wreath import exact_wreath_order, labels_in_wreath_product, log_order_sums
 
 
 def test_lnfact_against_loggamma():
@@ -38,9 +37,9 @@ def test_lnfact_large_arguments():
 
 
 def test_wreath_order_examples():
-    assert wreath_quotient_order(TreeSequence((5, 5)), 1).exact == 60
-    assert wreath_quotient_order(TreeSequence((5, 5)), 2).exact == 46656000000
-    assert wreath_quotient_order(TreeSequence((3, 3)), 2).exact == 81
+    assert exact_wreath_order((5,)) == 60
+    assert exact_wreath_order((5, 5)) == 46656000000
+    assert exact_wreath_order((3, 3)) == 81
 
 
 def test_wreath_order_closed_form_oracle():
@@ -49,36 +48,37 @@ def test_wreath_order_closed_form_oracle():
     expected = 1
     for i in range(3):
         expected *= (math.factorial(seq[i]) // 2) ** seq.level_size(i)
-    assert wreath_quotient_order(seq, 3).exact == expected
+    assert exact_wreath_order(seq.valencies) == expected
 
 
 def test_wreath_order_monotone_in_level():
     seq = TreeSequence((5, 7, 9))
-    orders = [wreath_quotient_order(seq, n).exact for n in range(1, 4)]
+    orders = [exact_wreath_order(seq.valencies[:n]) for n in range(1, 4)]
     assert orders[0] < orders[1] < orders[2]
 
 
 def test_wreath_order_log_agrees_with_exact():
-    for seq, n in ((TreeSequence((5, 5)), 2), (TreeSequence((5, 13, 133)), 3)):
-        q = wreath_quotient_order(seq, n, precision_bits=128)
+    for valencies in ((5, 5), (5, 13, 133)):
+        exact = exact_wreath_order(valencies)
+        log_value = log_order_sums(valencies, 128).order[len(valencies)]
         with mpmath.workprec(200):
-            assert abs(mpmath.log(mpmath.mpf(q.exact)) - q.log_value) < mpmath.mpf(2) ** -120
+            assert abs(mpmath.log(mpmath.mpf(exact)) - log_value) < mpmath.mpf(2) ** -120
 
 
 def test_wreath_order_budget_refusal():
-    seq = TreeSequence((5, 13, 133, 17293))
+    valencies = (5, 13, 133, 17293)
     with pytest.raises(BudgetExceeded):
-        wreath_quotient_order(seq, 4, digit_budget=1000)
-    q = wreath_quotient_order(seq, 4, variant="log")
-    assert q.exact is None
-    assert q.log_value > 0
+        exact_wreath_order(valencies, digit_budget=1000)
+    assert log_order_sums(valencies, 128).order[4] > 0
 
 
 def test_wreath_order_range_checks():
-    with pytest.raises(ValueError):
-        wreath_quotient_order(TreeSequence((5, 5)), 3)
-    with pytest.raises(ValueError):
-        wreath_quotient_order(TreeSequence((5, 5)), 1, variant="nope")
+    # the empty prefix is the trivial level-0 quotient; verify only takes levels 1..len(seq)
+    assert exact_wreath_order(()) == 1
+    with pytest.raises(ValueError, match="level 3 outside 1..2"):
+        verify_level_action(TreeSequence((5, 5)), 3)
+    with pytest.raises(ValueError, match="level 0 outside 1..2"):
+        verify_level_action(TreeSequence((5, 5)), 0)
 
 
 def test_stirling_envelope_examples():
@@ -214,7 +214,7 @@ def test_h_mismatch_against_sympy(valencies, index):
     images = [p.level_permutation(3) for p in spinal_group_portraits(seq, 3, "H")]
     group = combinatorics.PermutationGroup(
         [combinatorics.Permutation([x - 1 for x in g.images]) for g in images])
-    closed = wreath_quotient_order(TreeSequence(tuple(l - 2 for l in valencies)), 3).exact
+    closed = exact_wreath_order(tuple(l - 2 for l in valencies))
     assert group.order() == closed // index
 
 
@@ -236,8 +236,7 @@ def test_degree_343_verify_uses_order_bound():
 @pytest.mark.parametrize("valencies", [(5,), (5, 5, 5, 5, 5, 5, 5, 5), (5, 13, 133, 17293),
                                        (3,) * 12, (61, 59)])
 def test_exact_order_digit_estimate_matches_log_value(valencies):
-    seq = TreeSequence(valencies)
-    log_value = wreath_quotient_order(seq, len(seq), variant="log").log_value
+    log_value = log_order_sums(valencies, 128).order[len(valencies)]
     with mpmath.workprec(160):
         digits = float(log_value / mpmath.log(10))
     with pytest.raises(BudgetExceeded) as err:
