@@ -9,12 +9,10 @@ is only emitted when --timing is passed.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import re
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .dimension import dimension_report
@@ -24,15 +22,17 @@ from .synthesis import spectrum_sample, spectrum_svg, synthesize
 from .trees import TreeSequence
 from .wreath import verify_level_action
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 USAGE_ERROR = 2
 MISMATCH_ERROR = 3
 BUDGET_ERROR = 4
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
-    options: dict = field(default_factory=dict)
+    options: dict
 
     def echo(self) -> dict:
         return {"tool": "spinaldim", "version": __version__, "command": self.command,
@@ -61,6 +61,8 @@ def _int_text(n: int) -> str:
     """
     if n.bit_length() <= _INT_TEXT_BITS:
         return str(n)
+    import decimal
+
     D = decimal.Decimal
     powers: dict[int, decimal.Decimal] = {}
 
@@ -139,6 +141,8 @@ def _csv_comment(cfg: RunConfig) -> str:
 
 
 def _parse_alpha(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         alpha = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

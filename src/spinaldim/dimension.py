@@ -27,14 +27,14 @@ largest m'_{n-1}.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .trees import TreeSequence
 from .wreath import _GUARD_BITS, _require_subgroup_side, log_order_sums
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from mpmath import mpf
 
 _MIN_PRECISION = 64
@@ -48,6 +48,8 @@ def _require_precision(precision_bits: int) -> None:
 @functools.lru_cache(maxsize=8)
 def _alpha_prefixes(valencies: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Entry n is prod_{j<n} (l_j - 2)/l_j, for n = 0..len(valencies), in one pass."""
+    from fractions import Fraction
+
     out = [Fraction(1)]
     for l in valencies:
         out.append(out[-1] * Fraction(l - 2, l))
@@ -61,8 +63,7 @@ def alpha_target(seq: TreeSequence, n: int) -> Fraction:
     return _alpha_prefixes(seq.valencies)[n]
 
 
-@dataclass
-class EnvelopeRow:
+class EnvelopeRow(NamedTuple):
     """Per-level proof quantities for the two-sided dimension estimate."""
 
     n: int
@@ -117,8 +118,7 @@ def envelope_bounds(seq: TreeSequence, n: int, precision_bits: int = 128) -> Env
         )
 
 
-@dataclass
-class DimensionRow:
+class DimensionRow(NamedTuple):
     n: int
     log_subgroup: mpf
     log_ambient: mpf
@@ -127,8 +127,7 @@ class DimensionRow:
     envelope: EnvelopeRow
 
 
-@dataclass
-class DimensionReport:
+class DimensionReport(NamedTuple):
     sequence: tuple[int, ...]
     precision_bits: int
     rows: list[DimensionRow]
@@ -187,8 +186,7 @@ def dimension_report(seq: TreeSequence, levels: int, precision_bits: int = 128) 
     )
 
 
-@dataclass
-class ChainRuleRow:
+class ChainRuleRow(NamedTuple):
     n: int
     q_hg: mpf
     q_kh: mpf
@@ -245,6 +243,8 @@ def chain_rule_table(
 
 def rigid_product_dimension(seq: TreeSequence, n: int, k: int) -> Fraction:
     """Exact dimension k/m_n of a product of k level-n rigid vertex stabilizers."""
+    from fractions import Fraction
+
     m_n = seq.level_size(n)
     if not 1 <= k <= m_n:
         raise ValueError(f"k={k} outside 1..{m_n}")

@@ -7,23 +7,39 @@ and conjugation w = s**-2 * t * s**2 means "apply s**2, then t, then s**-2".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class Permutation:
     """A permutation of {1..k} stored as its image table.
 
-    ``images[i]`` is the image of the point i + 1.
+    ``images[i]`` is the image of the point i + 1.  Instances are immutable
+    values: equal exactly when their classes and image tables are.
     """
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        imgs = tuple(int(x) for x in self.images)
+    def __init__(self, images) -> None:
+        imgs = tuple(int(x) for x in images)
         object.__setattr__(self, "images", imgs)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError("image table is not a bijection on 1..k")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(images={self.images!r})"
 
     @classmethod
     def identity(cls, k: int) -> "Permutation":

@@ -22,7 +22,9 @@ Internally permutations are 0-based tuples; the public API speaks
 :class:`~spinaldim.perms.Permutation`.  Composition gathers the images in
 one C call (``operator.itemgetter``), and each orbit grows by a FIFO
 breadth-first search that gathers the level's generators only once the
-new generator has produced a new point.
+new generator has produced a new point.  Every strong generator keeps its
+inverse beside it, so a transversal element's inverse is one more
+composition rather than a point-by-point inversion.
 """
 
 from __future__ import annotations
@@ -60,11 +62,12 @@ def _is_id(a: tuple[int, ...]) -> bool:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal", "inv_transversal")
+    __slots__ = ("base", "gens", "inv_gens", "transversal", "inv_transversal")
 
     def __init__(self, base: int):
         self.base = base
         self.gens: list[tuple[int, ...]] = []
+        self.inv_gens: list[tuple[int, ...]] = []  # inv_gens[k] inverts gens[k]
         self.transversal: dict[int, tuple[int, ...]] = {}
         self.inv_transversal: dict[int, tuple[int, ...]] = {}
 
@@ -169,9 +172,11 @@ class StabilizerChain:
             lv.transversal[base] = self._identity
             lv.inv_transversal[base] = self._identity
             self._levels.append(lv)
+        residue_inv = _inv(residue)
         self._levels[level].gens.append(residue)
+        self._levels[level].inv_gens.append(residue_inv)
         for i in range(level, -1, -1):
-            self._extend_orbit(i, residue)
+            self._extend_orbit(i, residue, residue_inv)
         return True
 
     def _gens_at(self, level: int) -> list[tuple[int, ...]]:
@@ -180,29 +185,39 @@ class StabilizerChain:
             out.extend(lv.gens)
         return out
 
-    def _extend_orbit(self, level: int, new_gen: tuple[int, ...]) -> None:
-        """Grow the level's orbit after new_gen joined its generating set."""
+    def _pairs_at(self, level: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The generators of ``_gens_at(level)``, each paired with its inverse."""
+        out = []
+        for lv in self._levels[level:]:
+            out.extend(zip(lv.gens, lv.inv_gens))
+        return out
+
+    def _extend_orbit(self, level: int, new_gen: tuple[int, ...],
+                      new_inv: tuple[int, ...]) -> None:
+        """Grow the level's orbit after new_gen joined its generating set.
+
+        A new point b = g(a) gets u_b = g u_a and, since (g u_a)^-1 =
+        u_a^-1 g^-1, its inverse as one more composition.
+        """
         lv = self._levels[level]
         queue = deque()
         for a in list(lv.transversal):
             b = new_gen[a]
             if b not in lv.transversal:
-                u_b = _mul(new_gen, lv.transversal[a])
-                lv.transversal[b] = u_b
-                lv.inv_transversal[b] = _inv(u_b)
+                lv.transversal[b] = _mul(new_gen, lv.transversal[a])
+                lv.inv_transversal[b] = _mul(lv.inv_transversal[a], new_inv)
                 queue.append(b)
         if not queue:
             return
-        gens = self._gens_at(level)
+        pairs = self._pairs_at(level)
         while queue:
             a = queue.popleft()
-            u_a = lv.transversal[a]
-            for g in gens:
+            u_a, u_a_inv = lv.transversal[a], lv.inv_transversal[a]
+            for g, g_inv in pairs:
                 b = g[a]
                 if b not in lv.transversal:
-                    u_b = _mul(g, u_a)
-                    lv.transversal[b] = u_b
-                    lv.inv_transversal[b] = _inv(u_b)
+                    lv.transversal[b] = _mul(g, u_a)
+                    lv.inv_transversal[b] = _mul(u_a_inv, g_inv)
                     queue.append(b)
 
     def _randomized_fill(self) -> None:

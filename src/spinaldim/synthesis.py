@@ -18,14 +18,14 @@ is reachable one construction level down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded
 from .trees import TreeSequence
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 _MAX_ENTRY_DIGITS = 100_000
@@ -38,6 +38,8 @@ def window(alpha: Fraction, p_prev: Fraction) -> tuple[int, int]:
     Solves t < (l-2)/l < (6+t)/7 with t = alpha/p_prev over the integers
     and clips the result to l >= 5.
     """
+    from fractions import Fraction
+
     alpha = Fraction(alpha)
     p_prev = Fraction(p_prev)
     if not 0 < alpha < 1:
@@ -54,8 +56,7 @@ def window(alpha: Fraction, p_prev: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass
-class SynthesisStep:
+class SynthesisStep(NamedTuple):
     i: int
     l: int
     window_lo: int
@@ -64,8 +65,7 @@ class SynthesisStep:
     gap: Fraction
 
 
-@dataclass
-class SynthesisTrace:
+class SynthesisTrace(NamedTuple):
     alpha: Fraction
     strategy: str
     steps: list[SynthesisStep]
@@ -140,6 +140,8 @@ def synthesize(
     roughly quadratically per step, so runs are refused once an entry
     would exceed max_entry_digits decimal digits.
     """
+    from fractions import Fraction
+
     alpha = Fraction(alpha)
     if strategy not in ("minimal", "prime-rich"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -172,8 +174,7 @@ def synthesize(
     return SynthesisTrace(alpha, strategy, steps)
 
 
-@dataclass
-class MembershipResult:
+class MembershipResult(NamedTuple):
     status: str  # "yes" | "no_within_horizon"
     witness: tuple[int, ...] | None
 
@@ -188,6 +189,8 @@ def denominator_witness(q: Fraction, seq: TreeSequence, horizon: int) -> Members
     Strips gcd(b, l_j - 2) from the reduced denominator b once per index;
     distinct indices only.  Monotone in the horizon: a yes stays a yes.
     """
+    from fractions import Fraction
+
     q = Fraction(q)
     if not 0 <= q <= 1:
         raise ValueError("rational must lie in [0, 1]")
@@ -207,8 +210,7 @@ def denominator_witness(q: Fraction, seq: TreeSequence, horizon: int) -> Members
     return MembershipResult("no_within_horizon", None)
 
 
-@dataclass
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     value: Fraction
     text: str
     provenance: str  # "L" | "L_alpha"
@@ -216,8 +218,7 @@ class SpectrumEntry:
     realization: tuple[int, int] | None  # (level n, count k) with value = k/m_n
 
 
-@dataclass
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     alpha: Fraction
     sequence: tuple[int, ...]
     max_denominator: int
@@ -237,6 +238,8 @@ def spectrum_sample(
     q*m_n is an integer exactly when b divides m_n, so the realization
     level is also found once per b.
     """
+    from fractions import Fraction
+
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ValueError("target must lie in [0, 1]")
@@ -300,7 +303,7 @@ def spectrum_svg(result: SpectrumResult) -> str:
         f'<line x1="{margin}" y1="{axis_y}" x2="{width - margin}" y2="{axis_y}" '
         'stroke="black" stroke-width="1.5"/>',
     ]
-    for value, name in ((Fraction(0), "0"), (result.alpha, "a"), (Fraction(1), "1")):
+    for value, name in ((0, "0"), (result.alpha, "a"), (1, "1")):
         x = x_of(value)
         parts.append(
             f'<line x1="{x:.2f}" y1="{axis_y - 6}" x2="{x:.2f}" y2="{axis_y + 6}" '

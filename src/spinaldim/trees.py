@@ -12,25 +12,45 @@ permutations that act on the letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
 Vertex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class TreeSequence:
-    """Finite prefix of a valency sequence, each entry >= 3."""
+    """Finite prefix of a valency sequence, each entry >= 3.
 
+    Instances are immutable values: equal exactly when their classes and
+    valencies are.
+    """
+
+    __slots__ = ("valencies",)
     valencies: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.valencies)
+    def __init__(self, valencies) -> None:
+        vals = tuple(int(v) for v in valencies)
         object.__setattr__(self, "valencies", vals)
         for v in vals:
             if v < 3:
                 raise ValueError(f"valency {v} < 3 makes the level action trivial")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.valencies == other.valencies
+
+    def __hash__(self) -> int:
+        return hash((self.valencies,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(valencies={self.valencies!r})"
 
     @classmethod
     def from_text(cls, text: str) -> "TreeSequence":

@@ -19,8 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded, DegreeCapExceeded
 from .perms import alt_generators, embedded_alt_generators
@@ -44,8 +43,7 @@ def lnfact(n: int, precision_bits: int = 128) -> mpf:
         return mpmath.loggamma(mpmath.mpf(n) + 1)
 
 
-@dataclass(frozen=True)
-class LogOrderSums:
+class LogOrderSums(NamedTuple):
     """Prefix sums over the levels of a valency sequence (l_0, l_1, ...).
 
     Entry n of each sum runs over j < n, with m_j = prod_{k<j} l_k and
@@ -214,8 +212,7 @@ def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
             raise ValueError(f"valency {l} < 5; the shifted side needs l - 2 >= 3")
 
 
-@dataclass
-class LevelActionReport:
+class LevelActionReport(NamedTuple):
     sequence: tuple[int, ...]
     level: int
     group: str
@@ -224,7 +221,7 @@ class LevelActionReport:
     match: bool
     seed: int
     degree: int
-    elapsed_ms: float = field(repr=False, default=0.0)
+    elapsed_ms: float = 0.0
     certificate: str = "schreier"
 
     def to_dict(self, include_timing: bool = False) -> dict:

@@ -291,6 +291,15 @@ def test_json_text_matches_json_dumps():
      "fbb3932446dacd5930fab4abffdd250a710a5be44d4e7f622b1da25fa9c7edb0"),
     ("verify --seq 7,7 --level 2 --group H --seed 54",
      "e091f4fe06ca77de7c010c8d965e271340e72ef544204d1198d705ef7d73e285"),
+    # degenerate synth traces, a G verify report and spectrum entries
+    ("synth --alpha 1 --terms 3 --format json",
+     "5289e894bee828280a1a7e8350dc34d2837443480515cb73f39879dcc2021d09"),
+    ("synth --alpha 0 --terms 3",
+     "5784209801ae196f8294124519a8370ee82297c65995768423a9aa4d7ad52445"),
+    ("verify --seq 5,5,5 --level 3 --group G --seed 33",
+     "e5ad16d43c085aa76b2f6e922cce4106f9897759ba93d1e2b4442407277a7a57"),
+    ("spectrum --alpha 1/2 --seq 5,7,9 --max-den 30 --horizon 3",
+     "c10a202fc0cd2d98e4034e7cfdd230bf9e166b76938fd2f86ee8d31d5a3db932"),
 ])
 def test_stdout_digest_pinned(argv, digest):
     argv = argv.split()

@@ -14,6 +14,7 @@ from spinaldim import (
     rigid_product_partial,
     synthesize,
 )
+from spinaldim.dimension import EnvelopeRow
 
 CONST5 = TreeSequence((5,) * 40)
 
@@ -49,6 +50,11 @@ def test_alpha_target_values():
     assert alpha_target(seq, 1) == Fraction(3, 5)
     assert alpha_target(seq, 2) == Fraction(33, 65)
     assert alpha_target(seq, 3) == Fraction(4323, 8645)
+
+
+def test_envelope_row_flags_default_true():
+    row = EnvelopeRow(1, Fraction(1), *(mpmath.mpf(0),) * 6)
+    assert (row.sandwich_ok, row.t_order_ok, row.t1_cap_ok) == (True, True, True)
 
 
 def test_envelope_t_checks_constant_five():

@@ -33,6 +33,23 @@ def bfs_closure(gens):
 def test_image_table_must_be_bijection():
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
+    with pytest.raises(ValueError, match=r"^image table is not a bijection on 1\.\.k$"):
+        Permutation((2, 3))
+
+
+def test_value_semantics():
+    g = Permutation([2, 1.0, 3])
+    assert g.images == (2, 1, 3) and all(type(x) is int for x in g.images)
+    assert g == Permutation(images=(2, 1, 3))
+    assert g != Permutation((1, 2, 3)) and g != Permutation((2, 1))
+    # equal only to the same class, never to the bare image tuple
+    assert g != (2, 1, 3) and (2, 1, 3) != g
+    assert hash(g) == hash(((2, 1, 3),)) == hash(Permutation((2, 1, 3)))
+    assert len({g, Permutation((2, 1, 3)), Permutation.identity(3)}) == 2
+    assert repr(g) == "Permutation(images=(2, 1, 3))"
+    with pytest.raises(AttributeError):
+        g.images = (1, 2, 3)
+    assert g.images == (2, 1, 3)
 
 
 def test_identity_and_inverse_laws():

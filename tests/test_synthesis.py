@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spinaldim import (
     BudgetExceeded,
     SpectrumResult,
+    SynthesisTrace,
     TreeSequence,
     denominator_witness,
     rigid_product_dimension,
@@ -111,6 +112,7 @@ def test_degenerate_targets():
     assert t0.degenerate == "H=1" and t0.steps == []
     with pytest.raises(ValueError):
         t1.sequence()
+    assert SynthesisTrace(Fraction(1, 2), "minimal", []).degenerate is None
 
 
 def test_synthesize_validation():

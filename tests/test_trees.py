@@ -32,8 +32,19 @@ def test_level_size_out_of_range():
         TreeSequence((5, 5)).level_size(3)
 
 
+def test_value_semantics():
+    seq = TreeSequence([5, 7.0])
+    assert seq.valencies == (5, 7) and all(type(v) is int for v in seq.valencies)
+    assert seq == TreeSequence(valencies=(5, 7)) and seq != TreeSequence((7, 5))
+    assert seq != (5, 7) and (5, 7) != seq
+    assert hash(seq) == hash(((5, 7),)) == hash(TreeSequence((5, 7)))
+    assert repr(seq) == "TreeSequence(valencies=(5, 7))"
+    with pytest.raises(AttributeError):
+        seq.valencies = (9,)
+
+
 def test_valency_floor():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^valency 2 < 3 makes the level action trivial$"):
         TreeSequence((5, 2))
 
 

@@ -16,7 +16,12 @@ from spinaldim import (
     stirling_envelope,
     verify_level_action,
 )
-from spinaldim.wreath import exact_wreath_order, labels_in_wreath_product, log_order_sums
+from spinaldim.wreath import (
+    LevelActionReport,
+    exact_wreath_order,
+    labels_in_wreath_product,
+    log_order_sums,
+)
 
 
 def test_lnfact_against_loggamma():
@@ -141,6 +146,14 @@ def test_report_serialization():
     assert doc["certificate"] == "order-bound"
     assert r.elapsed_ms > 0
     assert r.to_dict(include_timing=True)["elapsed_ms"] > 0
+    assert list(doc) == ["sequence", "level", "group", "expected", "measured", "match",
+                         "seed", "degree", "certificate", "elapsed_ms"]
+
+
+def test_report_defaults():
+    r = LevelActionReport((5,), 1, "G", 60, 60, True, 0, 5)
+    assert r.elapsed_ms == 0.0 and r.certificate == "schreier"
+    assert r.to_dict(include_timing=True)["elapsed_ms"] == 0.0
 
 
 @pytest.mark.parametrize("which", ["G", "H"])
