@@ -45,6 +45,13 @@ def _nstr(x, digits: int) -> str:
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 
+def _ratio_text(q: Fraction, digits: int) -> str:
+    """``q`` to ``digits`` significant digits, divided at mpmath's default precision."""
+    import mpmath
+
+    return _nstr(mpmath.mpf(q.numerator) / q.denominator, digits)
+
+
 # measured crossover: below about 2**15 bits the built-in conversion is faster
 _INT_TEXT_BITS = 1 << 15
 _DECIMAL_LEAF_BITS = 128
@@ -102,29 +109,18 @@ def _fraction_text(q: Fraction) -> str:
     return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)`` plus a newline, big ints printed by ``_int_text``.
+def _big(n: int) -> str:
+    """``n`` for a document that ``_json_text`` prints as a bare JSON number.
 
-    Each int above ``_INT_TEXT_BITS`` goes into the dump as a string
-    placeholder that no command-line input can produce (it holds a NUL),
-    and its digits are spliced in afterwards, so the bytes are unchanged.
+    The digits come from ``_int_text`` behind a NUL, which no command-line
+    input can produce, so ``_json_text`` unquotes exactly these strings.
     """
-    digits: list[str] = []
+    return "\0" + _int_text(n)
 
-    def swap(x):
-        if isinstance(x, dict):
-            return {k: swap(v) for k, v in x.items()}
-        if isinstance(x, list):
-            return [swap(v) for v in x]
-        if type(x) is int and x.bit_length() > _INT_TEXT_BITS:
-            digits.append(_int_text(x))
-            return f"\0{len(digits) - 1}"
-        return x
 
-    text = json.dumps(swap(doc), indent=2)
-    if digits:
-        text = re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m.group(1))], text)
-    return text + "\n"
+def _json_text(doc) -> str:
+    """``doc`` as indented JSON plus a newline, each ``_big`` int unquoted."""
+    return re.sub(r'"\\u0000(-?\d+)"', r"\1", json.dumps(doc, indent=2)) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -138,6 +134,13 @@ def _emit(text: str, out_path: str | None) -> None:
 def _csv_comment(cfg: RunConfig) -> str:
     opts = " ".join(f"{k}={v}" for k, v in cfg.options.items())
     return f"# spinaldim {__version__} {cfg.command} {opts}\n"
+
+
+def _parse_seq(text: str) -> TreeSequence:
+    try:
+        return TreeSequence.from_text(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_alpha(text: str) -> Fraction:
@@ -179,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="check a finite level action against its closed form")
-    p.add_argument("--seq", required=True)
+    p.add_argument("--seq", required=True, type=_parse_seq)
     p.add_argument("--level", required=True, type=int)
     p.add_argument("--group", choices=["G", "H"], default="G")
     p.add_argument("--seed", type=int, default=0)
@@ -189,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="sample realizable dimensions")
     p.add_argument("--alpha", required=True, type=_parse_alpha)
-    p.add_argument("--seq", required=True)
+    p.add_argument("--seq", required=True, type=_parse_seq)
     p.add_argument("--max-den", required=True, type=int)
     p.add_argument("--horizon", required=True, type=int)
     p.add_argument("--svg")
@@ -198,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("portrait", help="dump the labels of a spinal generator")
     p.add_argument("--gen", required=True, choices=["zeta", "psi", "xi", "theta"])
-    p.add_argument("--seq", required=True)
+    p.add_argument("--seq", required=True, type=_parse_seq)
     p.add_argument("--depth", required=True, type=int)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
@@ -207,10 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    import mpmath
-
     if args.terms < 1:
-        raise _Usage("terms must be at least 1")
+        raise ValueError("terms must be at least 1")
     cfg = RunConfig("synth", {
         "alpha": str(args.alpha), "terms": args.terms, "strategy": args.strategy,
         "digits": args.digits,
@@ -222,9 +223,9 @@ def _cmd_synth(args) -> int:
         doc["dimension"] = 1 if trace.degenerate == "H=G" else (0 if trace.degenerate else None)
         doc["steps"] = [
             {
-                "i": s.i, "l": s.l, "window_lo": s.window_lo, "window_hi": s.window_hi,
-                "P": _fraction_text(s.p),
-                "gap": _nstr(mpmath.mpf(s.gap.numerator) / s.gap.denominator, args.digits),
+                "i": s.i, "l": _big(s.l), "window_lo": _big(s.window_lo),
+                "window_hi": _big(s.window_hi), "P": _fraction_text(s.p),
+                "gap": _ratio_text(s.gap, args.digits),
             }
             for s in trace.steps
         ]
@@ -235,22 +236,22 @@ def _cmd_synth(args) -> int:
     if trace.degenerate is not None:
         lines[0] = lines[0].rstrip("\n") + f" degenerate={trace.degenerate}\n"
     for s in trace.steps:
-        gap = _nstr(mpmath.mpf(s.gap.numerator) / s.gap.denominator, args.digits)
         ints = (s.l, s.window_lo, s.window_hi, s.p.numerator, s.p.denominator)
-        lines.append(f"{s.i},{','.join(map(_int_text, ints))},{gap}\n")
+        lines.append(f"{s.i},{','.join(map(_int_text, ints))},"
+                     f"{_ratio_text(s.gap, args.digits)}\n")
     _emit("".join(lines), args.out)
     return 0
 
 
 def _cmd_dim(args) -> int:
     if args.levels < 1:
-        raise _Usage("levels must be at least 1")
+        raise ValueError("levels must be at least 1")
     if args.terms < 1:
-        raise _Usage("terms must be at least 1")
+        raise ValueError("terms must be at least 1")
     if args.levels > args.terms:
-        raise _Usage("levels cannot exceed terms")
+        raise ValueError("levels cannot exceed terms")
     if args.alpha in (0, 1):
-        raise _Usage("dimension report needs a target strictly between 0 and 1")
+        raise ValueError("dimension report needs a target strictly between 0 and 1")
     cfg = RunConfig("dim", {
         "alpha": str(args.alpha), "terms": args.terms, "levels": args.levels,
         "strategy": args.strategy, "precision": args.precision, "digits": args.digits,
@@ -261,7 +262,7 @@ def _cmd_dim(args) -> int:
     d = args.digits
     if args.format == "json":
         doc = cfg.echo()
-        doc["sequence"] = list(report.sequence)
+        doc["sequence"] = [_big(l) for l in report.sequence]
         doc["rows"] = [
             {
                 "n": r.n,
@@ -294,46 +295,41 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        seq = TreeSequence.from_text(args.seq)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from exc
-    if not 1 <= args.level <= len(seq):
-        raise _Usage(f"level must lie in 1..{len(seq)}")
+    if not 1 <= args.level <= len(args.seq):
+        raise ValueError(f"level must lie in 1..{len(args.seq)}")
     cfg = RunConfig("verify", {
-        "seq": seq.to_text(), "level": args.level, "group": args.group,
+        "seq": args.seq.to_text(), "level": args.level, "group": args.group,
         "seed": args.seed, "cap": args.cap,
     })
-    report = verify_level_action(seq, args.level, args.group, seed=args.seed,
+    report = verify_level_action(args.seq, args.level, args.group, seed=args.seed,
                                  degree_cap=args.cap)
     doc = cfg.echo()
-    doc.update(report.to_dict(include_timing=args.timing))
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    doc.update({
+        "sequence": list(report.sequence), "level": report.level, "group": report.group,
+        "expected": _int_text(report.expected), "measured": _int_text(report.measured),
+        "match": report.match, "seed": report.seed, "degree": report.degree,
+        "certificate": report.certificate,
+        "elapsed_ms": round(report.elapsed_ms, 3) if args.timing else None,
+    })
+    _emit(_json_text(doc), args.out)
     return 0 if report.match else MISMATCH_ERROR
 
 
 def _cmd_spectrum(args) -> int:
-    import mpmath
-
-    try:
-        seq = TreeSequence.from_text(args.seq)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from exc
     if args.max_den < 1:
-        raise _Usage("max denominator must be at least 1")
-    if not 0 <= args.horizon <= len(seq):
-        raise _Usage(f"horizon must lie in 0..{len(seq)}")
+        raise ValueError("max denominator must be at least 1")
+    if not 0 <= args.horizon <= len(args.seq):
+        raise ValueError(f"horizon must lie in 0..{len(args.seq)}")
     cfg = RunConfig("spectrum", {
-        "alpha": str(args.alpha), "seq": seq.to_text(), "max_den": args.max_den,
+        "alpha": str(args.alpha), "seq": args.seq.to_text(), "max_den": args.max_den,
         "horizon": args.horizon, "digits": args.digits,
     })
-    result = spectrum_sample(args.alpha, seq, args.max_den, args.horizon)
+    result = spectrum_sample(args.alpha, args.seq, args.max_den, args.horizon)
     doc = cfg.echo()
     doc["entries"] = [
         {
             "value": e.text,
-            "decimal": _nstr(mpmath.mpf(e.value.numerator) / e.value.denominator,
-                             args.digits),
+            "decimal": _ratio_text(e.value, args.digits),
             "provenance": e.provenance,
             "witness": list(e.witness),
             "realization": {"level": e.realization[0], "k": e.realization[1]}
@@ -342,36 +338,27 @@ def _cmd_spectrum(args) -> int:
         }
         for e in result.entries
     ]
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(spectrum_svg(result) + "\n")
+        _emit(spectrum_svg(result) + "\n", args.svg)
     return 0
 
 
 def _cmd_portrait(args) -> int:
-    try:
-        seq = TreeSequence.from_text(args.seq)
-    except ValueError as exc:
-        raise _Usage(str(exc)) from exc
-    if not 1 <= args.depth <= len(seq):
-        raise _Usage(f"depth must lie in 1..{len(seq)}")
+    if not 1 <= args.depth <= len(args.seq):
+        raise ValueError(f"depth must lie in 1..{len(args.seq)}")
     cfg = RunConfig("portrait", {
-        "gen": args.gen, "seq": seq.to_text(), "depth": args.depth,
+        "gen": args.gen, "seq": args.seq.to_text(), "depth": args.depth,
     })
-    portrait = Portrait.spinal(args.gen, seq, args.depth)
+    portrait = Portrait.spinal(args.gen, args.seq, args.depth)
     if args.format == "json":
         doc = cfg.echo()
         doc["labels"] = portrait.dump_records()
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json_text(doc), args.out)
         return 0
     text = _csv_comment(cfg) + "".join(line + "\n" for line in portrait.dump_lines())
     _emit(text, args.out)
     return 0
-
-
-class _Usage(Exception):
-    pass
 
 
 _HANDLERS = {
@@ -393,9 +380,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return BUDGET_ERROR

@@ -179,14 +179,8 @@ class StabilizerChain:
             self._extend_orbit(i, residue, residue_inv)
         return True
 
-    def _gens_at(self, level: int) -> list[tuple[int, ...]]:
-        out = []
-        for lv in self._levels[level:]:
-            out.extend(lv.gens)
-        return out
-
     def _pairs_at(self, level: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The generators of ``_gens_at(level)``, each paired with its inverse."""
+        """The strong generators from ``level`` down, each paired with its inverse."""
         out = []
         for lv in self._levels[level:]:
             out.extend(zip(lv.gens, lv.inv_gens))
@@ -221,10 +215,10 @@ class StabilizerChain:
                     queue.append(b)
 
     def _randomized_fill(self) -> None:
-        gens = self._gens_at(0)
+        gens = [g for g, _ in self._pairs_at(0)]
         if not gens:
             return
-        slots = list(gens) + [self._identity] * 3
+        slots = gens + [self._identity] * 3
         stall = 0
         rounds = 0
         max_rounds = 200 + 40 * len(gens)
@@ -280,7 +274,7 @@ class StabilizerChain:
 
         for i, lv in enumerate(levels):
             pos_i, u_i, uinv_i_flat = pos_l[i], u_l[i], uinv_flat_l[i]
-            gens_i = self._gens_at(i)
+            gens_i = [g for g, _ in self._pairs_at(i)]
             if not gens_i:
                 continue
             required = len(gens_i) * len(u_i) * deg * np.dtype(np.int32).itemsize

@@ -224,21 +224,6 @@ class LevelActionReport(NamedTuple):
     elapsed_ms: float = 0.0
     certificate: str = "schreier"
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "sequence": list(self.sequence),
-            "level": self.level,
-            "group": self.group,
-            "expected": str(self.expected),
-            "measured": str(self.measured),
-            "match": self.match,
-            "seed": self.seed,
-            "degree": self.degree,
-            "certificate": self.certificate,
-            "elapsed_ms": round(self.elapsed_ms, 3) if include_timing else None,
-        }
-        return out
-
 
 def verify_level_action(
     seq: TreeSequence,

@@ -216,6 +216,47 @@ def test_out_flag_writes_file(tmp_path):
     assert body.startswith("# spinaldim ")
 
 
+@pytest.mark.parametrize("argv", [
+    "verify --seq 5,5 --level 2",
+    "spectrum --alpha 1/2 --seq 5,7,9 --max-den 30 --horizon 3",
+    "portrait --gen psi --seq 5,5,5 --depth 3 --format json",
+    "dim --alpha 1/2 --terms 5 --levels 4 --format json",
+])
+def test_out_flag_writes_stdout_bytes(tmp_path, argv):
+    target = tmp_path / "doc.json"
+    code, expected, _ = run_cli(*argv.split())
+    assert code == 0
+    code, out, _ = run_cli(*argv.split(), "--out", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_text(encoding="utf-8") == expected
+
+
+def test_verify_timing_flag():
+    argv = ("verify", "--seq", "5,5", "--level", "2")
+    code, out, _ = run_cli(*argv, "--timing")
+    assert code == 0
+    elapsed = json.loads(out)["elapsed_ms"]
+    assert isinstance(elapsed, float) and elapsed > 0
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert json.loads(out)["elapsed_ms"] is None
+
+
+@pytest.mark.parametrize("command", [
+    "verify --level 1",
+    "spectrum --alpha 1/2 --max-den 5 --horizon 1",
+    "portrait --gen psi --depth 1",
+])
+def test_bad_seq_reported_by_argparse(command):
+    name = command.split()[0]
+    code, out, err = run_cli(*command.split(), "--seq", "5,x")
+    assert code == 2
+    assert out == ""
+    assert err.endswith(f"spinaldim {name}: error: argument --seq: "
+                        "invalid literal for int() with base 10: 'x'\n")
+
+
 def test_repeated_runs_byte_identical():
     for argv in (
         ["verify", "--seq", "5,5", "--level", "2", "--group", "G", "--seed", "7"],
@@ -253,10 +294,17 @@ def test_int_text_edges():
 
 
 def test_json_text_matches_json_dumps():
-    big = [7**60_000, -(10**12_000), 2**BITS]
-    doc = {"flag": True, "n": 3, "big": big[0], "rows": [{"x": big[1], "y": "1/2"}, big[2]],
-           "none": None, "text": "\u0000 is not a placeholder"}
-    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    # 0, 2**15 bits, 2**15 + 1 bits, 60k digits and a negative int, marked by
+    # _big, print exactly as json.dumps prints the plain ints
+    big = [0, 2**BITS - 1, 2**BITS, 7**71_000, -(10**12_000)]
+
+    def doc(wrap):
+        return {"flag": True, "n": 3, "big": wrap(big[3]),
+                "rows": [{"x": wrap(big[4]), "y": "1/2"}, [wrap(b) for b in big[:3]]],
+                "none": None, "text": "\u0000 is not a placeholder"}
+
+    assert len(str(big[3])) > 60_000
+    assert cli._json_text(doc(cli._big)) == json.dumps(doc(int), indent=2) + "\n"
 
 
 # pinned sha256 of stdout: a change in the log-order arithmetic or in the

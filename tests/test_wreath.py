@@ -137,23 +137,21 @@ def test_verify_level_action_degree_cap():
 
 
 def test_report_serialization():
+    # the fields the verify document is built from; its key order is pinned by
+    # the verify digests in test_cli
     r = verify_level_action(TreeSequence((5, 5)), 1, "G", seed=3)
-    doc = r.to_dict()
-    assert doc["expected"] == doc["measured"] == "60"
-    assert doc["match"] is True
-    assert doc["seed"] == 3
-    assert doc["elapsed_ms"] is None
-    assert doc["certificate"] == "order-bound"
+    assert r.sequence == (5, 5) and r.level == 1 and r.group == "G"
+    assert r.expected == r.measured == 60
+    assert r.match is True
+    assert r.seed == 3
+    assert r.degree == 5
+    assert r.certificate == "order-bound"
     assert r.elapsed_ms > 0
-    assert r.to_dict(include_timing=True)["elapsed_ms"] > 0
-    assert list(doc) == ["sequence", "level", "group", "expected", "measured", "match",
-                         "seed", "degree", "certificate", "elapsed_ms"]
 
 
 def test_report_defaults():
     r = LevelActionReport((5,), 1, "G", 60, 60, True, 0, 5)
     assert r.elapsed_ms == 0.0 and r.certificate == "schreier"
-    assert r.to_dict(include_timing=True)["elapsed_ms"] == 0.0
 
 
 @pytest.mark.parametrize("which", ["G", "H"])
