@@ -44,6 +44,8 @@ def main() -> int:
                 for e in sample.entries
             ],
         }
+        # plain json.dumps, not cli._json_text: the scan cap keeps prime-rich
+        # valencies to a few digits, so there is no big integer to unquote
         (outdir / f"{stem}.json").write_text(json.dumps(doc, indent=2) + "\n")
         (outdir / f"{stem}.svg").write_text(spectrum_svg(sample) + "\n")
         kept = sum(1 for e in sample.entries if e.provenance == "L")

@@ -36,7 +36,6 @@ from .trees import TreeSequence, Vertex
 from .wreath import (
     lnfact,
     spinal_group_portraits,
-    stirling_envelope,
     verify_level_action,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "spectrum_sample",
     "spectrum_svg",
     "spinal_group_portraits",
-    "stirling_envelope",
     "synthesize",
     "verify_level_action",
     "window",

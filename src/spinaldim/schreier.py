@@ -22,9 +22,11 @@ Internally permutations are 0-based tuples; the public API speaks
 :class:`~spinaldim.perms.Permutation`.  Composition gathers the images in
 one C call (``operator.itemgetter``), and each orbit grows by a FIFO
 breadth-first search that gathers the level's generators only once the
-new generator has produced a new point.  Every strong generator keeps its
-inverse beside it, so a transversal element's inverse is one more
-composition rather than a point-by-point inversion.
+new generator has produced a new point.  Each level stores only the
+inverses u_b^-1 of its coset representatives, since sifting reads nothing
+else; every strong generator keeps its inverse beside it, so each new
+u_b^-1 is one composition.  The verification pass derives the forward u_b
+of the level it is checking by inverting those rows with ``argsort``.
 """
 
 from __future__ import annotations
@@ -62,13 +64,12 @@ def _is_id(a: tuple[int, ...]) -> bool:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "inv_gens", "transversal", "inv_transversal")
+    __slots__ = ("base", "gens", "inv_gens", "inv_transversal")
 
     def __init__(self, base: int):
         self.base = base
         self.gens: list[tuple[int, ...]] = []
         self.inv_gens: list[tuple[int, ...]] = []  # inv_gens[k] inverts gens[k]
-        self.transversal: dict[int, tuple[int, ...]] = {}
         self.inv_transversal: dict[int, tuple[int, ...]] = {}
 
 
@@ -81,13 +82,11 @@ class StabilizerChain:
     the proof the chain rests on: ``"order-bound"`` or ``"schreier"``.
     """
 
-    def __init__(self, generators, seed: int = 0, degree: int | None = None,
-                 order_bound: int | None = None):
+    def __init__(self, generators, seed: int = 0, order_bound: int | None = None):
         gens = list(generators)
-        if degree is None:
-            if not gens:
-                raise ValueError("degree is required when the generator list is empty")
-            degree = gens[0].degree
+        if not gens:
+            raise ValueError("the generator list is empty")
+        degree = gens[0].degree
         for g in gens:
             if g.degree != degree:
                 raise ValueError(f"degree mismatch: {g.degree} != {degree}")
@@ -128,7 +127,7 @@ class StabilizerChain:
     def order(self) -> int:
         n = 1
         for lv in self._levels:
-            n *= len(lv.transversal)
+            n *= len(lv.inv_transversal)
         return n
 
     def base(self) -> tuple[int, ...]:
@@ -169,7 +168,6 @@ class StabilizerChain:
         if level == len(self._levels):
             base = min(i for i, y in enumerate(residue) if y != i)
             lv = _Level(base)
-            lv.transversal[base] = self._identity
             lv.inv_transversal[base] = self._identity
             self._levels.append(lv)
         residue_inv = _inv(residue)
@@ -190,28 +188,28 @@ class StabilizerChain:
                       new_inv: tuple[int, ...]) -> None:
         """Grow the level's orbit after new_gen joined its generating set.
 
-        A new point b = g(a) gets u_b = g u_a and, since (g u_a)^-1 =
-        u_a^-1 g^-1, its inverse as one more composition.
+        Only inverses are stored: a new point b = g(a) has u_b = g u_a, so
+        u_b^-1 = u_a^-1 g^-1 is one composition.  The verification pass
+        recovers u_b from u_b^-1 when it needs it.
         """
         lv = self._levels[level]
+        orbit = lv.inv_transversal
         queue = deque()
-        for a in list(lv.transversal):
+        for a in list(orbit):
             b = new_gen[a]
-            if b not in lv.transversal:
-                lv.transversal[b] = _mul(new_gen, lv.transversal[a])
-                lv.inv_transversal[b] = _mul(lv.inv_transversal[a], new_inv)
+            if b not in orbit:
+                orbit[b] = _mul(orbit[a], new_inv)
                 queue.append(b)
         if not queue:
             return
         pairs = self._pairs_at(level)
         while queue:
             a = queue.popleft()
-            u_a, u_a_inv = lv.transversal[a], lv.inv_transversal[a]
+            u_a_inv = orbit[a]
             for g, g_inv in pairs:
                 b = g[a]
-                if b not in lv.transversal:
-                    lv.transversal[b] = _mul(g, u_a)
-                    lv.inv_transversal[b] = _mul(u_a_inv, g_inv)
+                if b not in orbit:
+                    orbit[b] = _mul(u_a_inv, g_inv)
                     queue.append(b)
 
     def _randomized_fill(self) -> None:
@@ -251,16 +249,13 @@ class StabilizerChain:
         deg = self.degree
         idrow = np.arange(deg, dtype=np.int32)
         levels = self._levels
-        pos_l, u_l, uinv_flat_l = [], [], []
+        pos_l, uinv_l = [], []
         for lv in levels:
-            pts = sorted(lv.transversal)
+            pts = sorted(lv.inv_transversal)
             pos = np.full(deg, -1, dtype=np.int32)
             pos[pts] = np.arange(len(pts), dtype=np.int32)
-            u = np.array([lv.transversal[p] for p in pts], dtype=np.int32)
-            uinv = np.array([lv.inv_transversal[p] for p in pts], dtype=np.int32)
             pos_l.append(pos)
-            u_l.append(u)
-            uinv_flat_l.append(uinv.ravel())
+            uinv_l.append(np.array([lv.inv_transversal[p] for p in pts], dtype=np.int32))
 
         witnesses: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
@@ -273,11 +268,11 @@ class StabilizerChain:
                     witnesses.append(t)
 
         for i, lv in enumerate(levels):
-            pos_i, u_i, uinv_i_flat = pos_l[i], u_l[i], uinv_flat_l[i]
+            pos_i, uinv_i = pos_l[i], uinv_l[i]
             gens_i = [g for g, _ in self._pairs_at(i)]
             if not gens_i:
                 continue
-            required = len(gens_i) * len(u_i) * deg * np.dtype(np.int32).itemsize
+            required = len(gens_i) * len(uinv_i) * deg * np.dtype(np.int32).itemsize
             if required > _VERIFY_BYTES_LIMIT:
                 raise BudgetExceeded(
                     f"Schreier verification at base level {i} needs a {required}-byte "
@@ -286,9 +281,10 @@ class StabilizerChain:
                     limit=_VERIFY_BYTES_LIMIT,
                 )
             s_stack = np.array(gens_i, dtype=np.int32)
-            su = s_stack[:, u_i].reshape(-1, deg)
+            # row k of uinv_i is u^-1 for one orbit point, so argsort inverts it back to u
+            su = s_stack[:, np.argsort(uinv_i, axis=1)].reshape(-1, deg)
             sel = pos_i[su[:, lv.base]]
-            w = np.take(uinv_i_flat, sel[:, None] * deg + su)
+            w = np.take(uinv_i, sel[:, None] * deg + su)
             w = w[~(w == idrow).all(axis=1)]
             for j in range(i + 1, len(levels)):
                 if w.size == 0:
@@ -301,7 +297,7 @@ class StabilizerChain:
                     sel = sel[~bad]
                     if w.size == 0:
                         break
-                w = np.take(uinv_flat_l[j], sel[:, None] * deg + w)
+                w = np.take(uinv_l[j], sel[:, None] * deg + w)
                 done = (w == idrow).all(axis=1)
                 if done.any():
                     w = w[~done]

@@ -110,35 +110,30 @@ def distinct_prime_factor_counts(lo: int, hi: int) -> np.ndarray:
     return counts
 
 
-def _pick_prime_rich(lo: int, hi: int, scan_cap: int) -> int:
+def _pick_prime_rich(lo: int, hi: int) -> int:
     import numpy as np
 
     width = hi - lo + 1
-    if width > scan_cap:
+    if width > _SCAN_CAP:
         raise BudgetExceeded(
-            f"prime-rich scan over {width} candidates exceeds cap {scan_cap}",
+            f"prime-rich scan over {width} candidates exceeds cap {_SCAN_CAP}",
             required=width,
-            limit=scan_cap,
+            limit=_SCAN_CAP,
         )
     counts = distinct_prime_factor_counts(lo - 2, hi - 2)
     best = int(np.argmax(counts))
     return lo + best
 
 
-def synthesize(
-    alpha: Fraction,
-    terms: int,
-    strategy: str = "minimal",
-    max_entry_digits: int = _MAX_ENTRY_DIGITS,
-    scan_cap: int = _SCAN_CAP,
-) -> SynthesisTrace:
+def synthesize(alpha: Fraction, terms: int, strategy: str = "minimal") -> SynthesisTrace:
     """Choose ``terms`` valencies whose (l-2)/l products approach alpha.
 
     minimal takes the smallest admissible integer each step; prime-rich
     takes the admissible l whose l - 2 has the most distinct prime
     factors, ties to the smallest.  Entries of the minimal strategy grow
     roughly quadratically per step, so runs are refused once an entry
-    would exceed max_entry_digits decimal digits.
+    would exceed _MAX_ENTRY_DIGITS decimal digits, and prime-rich scans
+    wider than _SCAN_CAP candidates are refused.
     """
     from fractions import Fraction
 
@@ -157,17 +152,17 @@ def synthesize(
     p_prev = Fraction(1)
     for i in range(terms):
         lo, hi = window(alpha, p_prev)
-        if (lo.bit_length() * 0.302) > max_entry_digits:
+        if (lo.bit_length() * 0.302) > _MAX_ENTRY_DIGITS:
             raise BudgetExceeded(
                 f"entry {i} needs about {int(lo.bit_length() * 0.302)} digits "
-                f"(budget {max_entry_digits})",
+                f"(budget {_MAX_ENTRY_DIGITS})",
                 required=lo.bit_length(),
-                limit=max_entry_digits,
+                limit=_MAX_ENTRY_DIGITS,
             )
         if strategy == "minimal":
             l = lo
         else:
-            l = _pick_prime_rich(lo, hi, scan_cap)
+            l = _pick_prime_rich(lo, hi)
         p = p_prev * Fraction(l - 2, l)
         steps.append(SynthesisStep(i, l, lo, hi, p, p - alpha))
         p_prev = p

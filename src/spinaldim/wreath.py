@@ -31,6 +31,8 @@ if TYPE_CHECKING:
     from mpmath import mpf
 
 _GUARD_BITS = 32
+# largest exact wreath order, in decimal digits, that exact_wreath_order multiplies out
+_EXACT_DIGIT_BUDGET = 100_000
 
 
 def lnfact(n: int, precision_bits: int = 128) -> mpf:
@@ -109,28 +111,12 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
         )
 
 
-def stirling_envelope(n: int, precision_bits: int = 128) -> tuple[mpf, mpf]:
-    """Bounds (lower, upper) with lower <= ln(n!) <= upper.
-
-    lower = 1 + n(ln n - 1), upper = 1 + (n+1)(ln(n+1) - 1); the lower
-    bound is attained at n = 1.
-    """
-    import mpmath
-
-    if n < 1:
-        raise ValueError("envelope needs n >= 1")
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        lo = 1 + n * (mpmath.log(n) - 1)
-        hi = 1 + (n + 1) * (mpmath.log(n + 1) - 1)
-        return lo, hi
-
-
-def exact_wreath_order(valencies: tuple[int, ...], digit_budget: int = 100_000) -> int:
+def exact_wreath_order(valencies: tuple[int, ...]) -> int:
     """prod_j (l_j!/2)^{m_j} over the given levels, as an exact integer.
 
     Refuses with BudgetExceeded, before multiplying anything out, when the
-    product would have more than digit_budget decimal digits.  The estimate
-    is the float sum of m_j (ln l_j! - ln 2) / ln 10.
+    product would have more than _EXACT_DIGIT_BUDGET decimal digits.  The
+    estimate is the float sum of m_j (ln l_j! - ln 2) / ln 10.
     """
     try:
         digits = 0.0
@@ -140,12 +126,12 @@ def exact_wreath_order(valencies: tuple[int, ...], digit_budget: int = 100_000) 
             m *= l
     except OverflowError:
         digits = math.inf
-    if digits > digit_budget:
+    if digits > _EXACT_DIGIT_BUDGET:
         raise BudgetExceeded(
-            f"exact order needs about {digits:.3g} digits (budget {digit_budget}); "
+            f"exact order needs about {digits:.3g} digits (budget {_EXACT_DIGIT_BUDGET}); "
             "use the log variant",
             required=digits,
-            limit=digit_budget,
+            limit=_EXACT_DIGIT_BUDGET,
         )
     exact = 1
     m = 1

@@ -360,3 +360,16 @@ def test_stdout_digest_pinned(argv, digest):
         assert code == 0
         got = out.encode()
     assert hashlib.sha256(got).hexdigest() == digest
+
+
+def test_spectrum_gallery_script(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "spectrum_gallery.py"), "--outdir",
+         str(tmp_path), "--terms", "3", "--max-den", "6", "--targets", "1/2"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert "wrote spectrum_1_2.json/.svg" in proc.stdout
+    doc = json.loads((tmp_path / "spectrum_1_2.json").read_text())
+    assert doc["alpha"] == "1/2" and doc["max_denominator"] == 6
+    assert len(doc["sequence"]) == 3 and doc["entries"]
+    assert (tmp_path / "spectrum_1_2.svg").read_text().startswith("<svg")

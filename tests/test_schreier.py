@@ -19,7 +19,7 @@ from spinaldim import (
     embedded_alt_generators,
     spinal_group_portraits,
 )
-from spinaldim.schreier import _is_id, _mul
+from spinaldim.schreier import _inv, _is_id, _mul
 from spinaldim.wreath import exact_wreath_order, labels_in_wreath_product
 from tests.test_perms import bfs_closure
 
@@ -34,15 +34,13 @@ def random_word(gens, length, rng):
 
 
 def test_empty_generator_list():
-    chain = StabilizerChain([], degree=5)
+    # the degree comes from the generators, so an empty list is refused
+    with pytest.raises(ValueError, match="the generator list is empty"):
+        StabilizerChain([])
+    chain = StabilizerChain([Permutation.identity(5)])
     assert chain.order() == 1
     assert chain.base() == ()
-    assert StabilizerChain([Permutation.identity(5)]).order() == 1
-
-
-def test_empty_generators_need_degree():
-    with pytest.raises(ValueError):
-        StabilizerChain([])
+    assert chain.degree == 5
 
 
 def test_alt5_order_against_closure():
@@ -64,7 +62,7 @@ def test_degree_mismatch():
     with pytest.raises(ValueError):
         StabilizerChain([tau, Permutation.identity(6)])
     with pytest.raises(ValueError):
-        StabilizerChain([tau], degree=6)
+        StabilizerChain([Permutation.identity(6), tau])
 
 
 def test_embedded_order_by_brute_force():
@@ -170,6 +168,51 @@ def test_verify_pass_refuses_above_byte_budget(monkeypatch):
     assert StabilizerChain([tau, sigma], order_bound=math.factorial(9) // 2).order() == 181440
 
 
+def _loop_verify_pass(chain):
+    """Reference pass: every Schreier generator u_{s(b)}^-1 s u_b, sifted one by one."""
+    residues = set()
+    for i, lv in enumerate(chain._levels):
+        gens = [g for g, _ in chain._pairs_at(i)]
+        for b, u_b_inv in lv.inv_transversal.items():
+            u_b = _inv(u_b_inv)
+            for s in gens:
+                su = _mul(s, u_b)
+                residue = chain._sift(_mul(lv.inv_transversal[su[lv.base]], su))[0]
+                if not _is_id(residue):
+                    residues.add(residue)
+    return residues
+
+
+@pytest.mark.parametrize("gens, order", [
+    (alt_generators(8), math.factorial(8) // 2),
+    ([p.level_permutation(2) for p in spinal_group_portraits(TreeSequence((5, 5)), 2, "G")],
+     60 ** 6),
+    ([p.level_permutation(3) for p in spinal_group_portraits(TreeSequence((5, 5, 5)), 3, "H")],
+     3 ** 10),
+])
+def test_verify_pass_matches_loop_reference(gens, order, monkeypatch):
+    # with no randomized fill the chain grows only from the witnesses the
+    # batched pass returns, which must be exactly the loop's residues
+    import spinaldim.schreier as schreier
+
+    monkeypatch.setattr(schreier, "_MAX_WITNESSES_PER_PASS", 1 << 30)
+    monkeypatch.setattr(StabilizerChain, "_randomized_fill", lambda self: None)
+    batched = StabilizerChain._verify_pass
+    passes = []
+
+    def checked(self):
+        witnesses = batched(self)
+        assert len(set(witnesses)) == len(witnesses)
+        assert set(witnesses) == _loop_verify_pass(self)
+        passes.append(len(witnesses))
+        return witnesses
+
+    monkeypatch.setattr(StabilizerChain, "_verify_pass", checked)
+    chain = StabilizerChain(gens)
+    assert passes[0] > 0 and passes[-1] == 0
+    assert chain.order() == order
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # none of numpy, mpmath, dataclasses, inspect, fractions or decimal, after
     # the import or after a verify certified by its order bound; every layer
@@ -259,13 +302,12 @@ def test_pinned_chains(seq, level, group, seed, base_len, n_strong, order, cert,
 
 @pytest.mark.parametrize("seq, level, group, seed", [row[:4] for row in PINNED_CHAINS])
 def test_inverse_transversals_invert(seq, level, group, seed):
-    # the inverses are composed from the strong generators' inverses, never
-    # inverted point by point; each must still undo its transversal element
+    # only the inverses u_b^-1 are stored, each composed from the strong
+    # generators' inverses; u_b^-1 must send its orbit point b back to the base
     chain = _pinned_chain(seq, level, group, seed)
     for lv in chain._levels:
-        assert lv.inv_transversal.keys() == lv.transversal.keys()
-        for b, u in lv.transversal.items():
-            assert u[lv.base] == b
-            assert _is_id(_mul(lv.inv_transversal[b], u))
+        assert lv.inv_transversal[lv.base] == chain._identity
+        for b, u_inv in lv.inv_transversal.items():
+            assert u_inv[b] == lv.base
         for g, g_inv in zip(lv.gens, lv.inv_gens, strict=True):
             assert _is_id(_mul(g_inv, g))

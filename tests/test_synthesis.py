@@ -195,9 +195,15 @@ def test_prime_rich_draws_from_same_window_as_minimal():
         assert step.l == step.window_lo
 
 
-def test_prime_rich_scan_cap():
-    with pytest.raises(BudgetExceeded):
-        synthesize(Fraction(1, 2), 1, "prime-rich", scan_cap=10)
+def test_prime_rich_scan_cap(monkeypatch):
+    import spinaldim.synthesis as synthesis
+
+    # the first window for 1/2 is 5..27, 23 candidates
+    monkeypatch.setattr(synthesis, "_SCAN_CAP", 10)
+    with pytest.raises(BudgetExceeded) as err:
+        synthesize(Fraction(1, 2), 1, "prime-rich")
+    assert str(err.value) == "prime-rich scan over 23 candidates exceeds cap 10"
+    assert (err.value.required, err.value.limit) == (23, 10)
 
 
 def test_denominator_witness_examples():

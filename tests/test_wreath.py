@@ -13,7 +13,6 @@ from spinaldim import (
     embedded_alt_generators,
     lnfact,
     spinal_group_portraits,
-    stirling_envelope,
     verify_level_action,
 )
 from spinaldim.wreath import (
@@ -70,10 +69,15 @@ def test_wreath_order_log_agrees_with_exact():
             assert abs(mpmath.log(mpmath.mpf(exact)) - log_value) < mpmath.mpf(2) ** -120
 
 
-def test_wreath_order_budget_refusal():
+def test_wreath_order_budget_refusal(monkeypatch):
+    import spinaldim.wreath as wreath
+
     valencies = (5, 13, 133, 17293)
-    with pytest.raises(BudgetExceeded):
-        exact_wreath_order(valencies, digit_budget=1000)
+    monkeypatch.setattr(wreath, "_EXACT_DIGIT_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded) as err:
+        exact_wreath_order(valencies)
+    assert err.value.limit == 1000
+    assert "(budget 1000); use the log variant" in str(err.value)
     assert log_order_sums(valencies, 128).order[4] > 0
 
 
@@ -84,29 +88,6 @@ def test_wreath_order_range_checks():
         verify_level_action(TreeSequence((5, 5)), 3)
     with pytest.raises(ValueError, match="level 0 outside 1..2"):
         verify_level_action(TreeSequence((5, 5)), 0)
-
-
-def test_stirling_envelope_examples():
-    lo, hi = stirling_envelope(5, 128)
-    ln120 = lnfact(5, 128)
-    assert float(lo) == pytest.approx(4.047, abs=5e-4)
-    assert float(hi) == pytest.approx(5.751, abs=5e-4)
-    assert lo < ln120 < hi
-
-    lo1, hi1 = stirling_envelope(1, 128)
-    assert lo1 == 0 and lnfact(1, 128) == 0 and hi1 > 0
-
-    lo100, hi100 = stirling_envelope(100, 128)
-    ln100 = lnfact(100, 128)
-    assert float(ln100) == pytest.approx(363.739, abs=5e-3)
-    assert lo100 <= ln100 <= hi100
-
-
-def test_stirling_envelope_strictness_sweep():
-    for n in range(1, 10001):
-        lo, hi = stirling_envelope(n, 128)
-        val = lnfact(n, 128)
-        assert lo <= val <= hi
 
 
 def test_verify_level_action_examples():
@@ -246,10 +227,13 @@ def test_degree_343_verify_uses_order_bound():
 
 @pytest.mark.parametrize("valencies", [(5,), (5, 5, 5, 5, 5, 5, 5, 5), (5, 13, 133, 17293),
                                        (3,) * 12, (61, 59)])
-def test_exact_order_digit_estimate_matches_log_value(valencies):
+def test_exact_order_digit_estimate_matches_log_value(valencies, monkeypatch):
+    import spinaldim.wreath as wreath
+
+    monkeypatch.setattr(wreath, "_EXACT_DIGIT_BUDGET", 0)
     log_value = log_order_sums(valencies, 128).order[len(valencies)]
     with mpmath.workprec(160):
         digits = float(log_value / mpmath.log(10))
     with pytest.raises(BudgetExceeded) as err:
-        exact_wreath_order(valencies, digit_budget=0)
+        exact_wreath_order(valencies)
     assert err.value.required == pytest.approx(digits, rel=1e-12)
