@@ -15,17 +15,26 @@ import pathlib
 import sys
 from fractions import Fraction
 
-from spinaldim import spectrum_sample, spectrum_svg, synthesize
+from spinaldim import BudgetExceeded, spectrum_sample, spectrum_svg, synthesize
+from spinaldim.cli import BUDGET_ERROR
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="spectrum_out")
     parser.add_argument("--terms", type=int, default=4)
     parser.add_argument("--max-den", type=int, default=24)
     parser.add_argument("--targets", default="0.5,0.3")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        _write_gallery(args)
+    except BudgetExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return BUDGET_ERROR
+    return 0
 
+
+def _write_gallery(args: argparse.Namespace) -> None:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for text in (x for x in args.targets.split(",") if x):
@@ -51,7 +60,6 @@ def main() -> int:
         kept = sum(1 for e in sample.entries if e.provenance == "L")
         print(f"target {text}: sequence {seq.to_text()}, {kept} rational values, "
               f"wrote {stem}.json/.svg")
-    return 0
 
 
 if __name__ == "__main__":

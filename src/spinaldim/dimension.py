@@ -22,6 +22,12 @@ gives T1 = sum m_j ln l_j / E and T2 = sum m_j ln (l_j-1) / E with
 E = sum m_j ln (l_j-2)!.  The upper bound trades each ln (l_j-2)! for the
 Stirling-type bound 1 + l_j (ln l_j - 1), every unit weighted by the
 largest m'_{n-1}.
+
+These formulas live in one private row builder.  ``partial_dimension``
+and ``envelope_bounds`` check their inputs and call it; ``dimension_report``
+asks ``partial_dimension`` for each level, so a deep report evaluates each
+valency's logs once (in ``log_order_sums``) and reads every row off the
+cached prefix sums under one working precision per row.
 """
 
 from __future__ import annotations
@@ -86,36 +92,11 @@ def envelope_bounds(seq: TreeSequence, n: int, precision_bits: int = 128) -> Env
     dropped; ``lower`` and ``upper`` must bracket it, T2 <= T1 always, and
     for nondecreasing sequences T1 <= 8/l_{n-1}.
     """
-    import mpmath
-
     _require_precision(precision_bits)
     _require_subgroup_side(seq, n)
     if not 1 <= n <= len(seq):
         raise ValueError(f"level {n} outside 1..{len(seq)}")
-    sums = log_order_sums(seq.valencies, precision_bits)
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        t1 = sums.split_l[n] / sums.split_sub[n]
-        t2 = sums.split_l1[n] / sums.split_sub[n]
-        alpha_prefix = alpha_target(seq, n - 1)
-        a = mpmath.mpf(alpha_prefix.numerator) / alpha_prefix.denominator
-        ratio = sums.fact_sub[n] / sums.fact[n]
-        lower = a / (1 + t1 + t2)
-        upper = (n * sums.size_sub[n - 1] + sums.stirling_sub[n]) / sums.fact[n]
-        t1_cap = mpmath.mpf(8) / seq[n - 1]
-        tol = mpmath.mpf(2) ** (-(precision_bits // 2))
-        return EnvelopeRow(
-            n=n,
-            alpha_prefix=alpha_prefix,
-            ratio=ratio,
-            lower=lower,
-            upper=upper,
-            t1=t1,
-            t2=t2,
-            t1_cap=t1_cap,
-            sandwich_ok=bool(lower <= ratio + tol and ratio <= upper + tol),
-            t_order_ok=bool(t2 <= t1 + tol),
-            t1_cap_ok=bool(t1 <= t1_cap + tol),
-        )
+    return _level_row(seq, n, precision_bits).envelope
 
 
 class DimensionRow(NamedTuple):
@@ -137,27 +118,53 @@ class DimensionReport(NamedTuple):
     flagged_levels: list[int]  # levels whose envelope row fails the sandwich check
 
 
-def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> DimensionRow:
-    """The level-n quotient d_n together with its envelope row."""
+def _level_row(seq: TreeSequence, n: int, precision_bits: int) -> DimensionRow:
+    """The level-n row read off the prefix sums; the caller has checked its inputs."""
     import mpmath
 
+    sums = log_order_sums(seq.valencies, precision_bits)
+    prefixes = _alpha_prefixes(seq.valencies)
+    with mpmath.workprec(precision_bits + _GUARD_BITS):
+        t1 = sums.split_l[n] / sums.split_sub[n]
+        t2 = sums.split_l1[n] / sums.split_sub[n]
+        alpha_prefix = prefixes[n - 1]
+        a = mpmath.mpf(alpha_prefix.numerator) / alpha_prefix.denominator
+        ratio = sums.fact_sub[n] / sums.fact[n]
+        lower = a / (1 + t1 + t2)
+        upper = (n * sums.size_sub[n - 1] + sums.stirling_sub[n]) / sums.fact[n]
+        t1_cap = mpmath.mpf(8) / seq[n - 1]
+        tol = mpmath.mpf(2) ** (-(precision_bits // 2))
+        envelope = EnvelopeRow(
+            n=n,
+            alpha_prefix=alpha_prefix,
+            ratio=ratio,
+            lower=lower,
+            upper=upper,
+            t1=t1,
+            t2=t2,
+            t1_cap=t1_cap,
+            sandwich_ok=bool(lower <= ratio + tol and ratio <= upper + tol),
+            t_order_ok=bool(t2 <= t1 + tol),
+            t1_cap_ok=bool(t1 <= t1_cap + tol),
+        )
+        log_h, log_g = sums.order_sub[n], sums.order[n]
+        return DimensionRow(
+            n=n,
+            log_subgroup=log_h,
+            log_ambient=log_g,
+            d=log_h / log_g,
+            alpha=prefixes[n],
+            envelope=envelope,
+        )
+
+
+def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> DimensionRow:
+    """The level-n quotient d_n together with its envelope row."""
     _require_precision(precision_bits)
     _require_subgroup_side(seq, n)
     if not 1 <= n <= len(seq):
         raise ValueError(f"level {n} outside 1..{len(seq)}; the smallest reported level is 1")
-    sums = log_order_sums(seq.valencies, precision_bits)
-    log_h, log_g = sums.order_sub[n], sums.order[n]
-    env = envelope_bounds(seq, n, precision_bits)
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        d = log_h / log_g
-    return DimensionRow(
-        n=n,
-        log_subgroup=log_h,
-        log_ambient=log_g,
-        d=d,
-        alpha=alpha_target(seq, n),
-        envelope=env,
-    )
+    return _level_row(seq, n, precision_bits)
 
 
 def dimension_report(seq: TreeSequence, levels: int, precision_bits: int = 128) -> DimensionReport:

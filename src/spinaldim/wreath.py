@@ -7,7 +7,8 @@ generated subgroup's quotients.  ``exact_wreath_order`` multiplies it out
 as an exact integer after a float estimate of its digit count, with no
 mpmath.  ``log_order_sums`` makes one pass over a sequence and keeps every
 weighted log sum the quotient, dimension and envelope code divides, so
-each level reads its logs off prefix sums.
+each level reads its logs off prefix sums; the logs of each distinct
+valency are evaluated once per pass.
 ``verify_level_action`` checks the four generators really produce a group
 of that order at desk scale, using the stabilizer chain as the independent
 counter.  When the generators' labels prove the closed form is an upper
@@ -76,7 +77,11 @@ class LogOrderSums(NamedTuple):
 
 @functools.lru_cache(maxsize=8)
 def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderSums:
-    """All prefix sums of ``LogOrderSums`` in one pass, at precision_bits plus guard bits."""
+    """All prefix sums of ``LogOrderSums`` in one pass, at precision_bits plus guard bits.
+
+    ln l!, ln (l-2)!, ln l and ln (l-1) are evaluated once per distinct
+    valency, so a constant tree of any depth makes two ``lnfact`` calls.
+    """
     import mpmath
 
     with mpmath.workprec(precision_bits + _GUARD_BITS):
@@ -84,12 +89,14 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
         rows = [(zero,) * 6 + (0, 0)]
         size_sub = [mpmath.mpf(1)]
         m = m_sub = 1
+        logs = {}  # valency -> (ln l!, ln (l-2)!, ln l, ln (l-1))
         for l in valencies:
-            lf = lnfact(l, precision_bits)
-            lf_sub = lnfact(l - 2, precision_bits)
-            ln_l = mpmath.log(l)
+            if l not in logs:
+                logs[l] = (lnfact(l, precision_bits), lnfact(l - 2, precision_bits),
+                           mpmath.log(l), mpmath.log(l - 1))
+            lf, lf_sub, ln_l, ln_l1 = logs[l]
             # the last two terms count the vertices above level n, as exact integers
-            terms = (m * lf, m_sub * lf_sub, m * lf_sub, m * ln_l, m * mpmath.log(l - 1),
+            terms = (m * lf, m_sub * lf_sub, m * lf_sub, m * ln_l, m * ln_l1,
                      m_sub * l * (ln_l - 1), m, m_sub)
             rows.append(tuple(acc + t for acc, t in zip(rows[-1], terms)))
             m *= l

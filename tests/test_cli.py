@@ -319,6 +319,9 @@ def test_json_text_matches_json_dumps():
     ("scripts/dimension_scan.py --levels 40 --precision 256 --constants 5,7,9,27 "
      "--targets 0.5,0.25,1/3",
      "fae84de1030c26a396a4190411ccc36f1b6936f71c6ca60d56f65b16eb63be4e"),
+    # the deep-tree benchmark op: 200-level constant reports at the default 128 bits
+    ("scripts/dimension_scan.py --levels 200 --constants 5,12 --targets=",
+     "492897f7aaf2e7ccad211aec9a133f21d29fa0fcc3e0d9881d9751c9f896c279"),
     # entries above the fast-conversion threshold, in every printing path
     ("synth --alpha 1/3 --terms 16 --format json",
      "ad06c519aca39471bc7f72f22a7b7610ed6e14e49df62db3122ae04823ba91d7"),
@@ -373,3 +376,21 @@ def test_spectrum_gallery_script(tmp_path):
     assert doc["alpha"] == "1/2" and doc["max_denominator"] == 6
     assert len(doc["sequence"]) == 3 and doc["entries"]
     assert (tmp_path / "spectrum_1_2.svg").read_text().startswith("<svg")
+
+
+def test_spectrum_gallery_refuses_over_budget(tmp_path, monkeypatch):
+    import importlib.util
+
+    import spinaldim.synthesis as synthesis
+
+    spec = importlib.util.spec_from_file_location(
+        "spectrum_gallery", ROOT / "scripts" / "spectrum_gallery.py")
+    gallery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gallery)
+    monkeypatch.setattr(synthesis, "_SCAN_CAP", 20)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = gallery.main(["--outdir", str(tmp_path), "--terms", "6", "--targets", "1/2"])
+    assert code == cli.BUDGET_ERROR == 4
+    assert err.getvalue().startswith("refused: prime-rich scan over ")
+    assert "exceeds cap 20" in err.getvalue()

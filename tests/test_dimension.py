@@ -258,7 +258,18 @@ def test_envelope_matches_top_down_reference(envelope_sequences):
 
 
 def test_report_rows_equal_single_level_rows(envelope_sequences):
-    for seq in envelope_sequences.values():
+    mixed = TreeSequence((5, 9, 6, 13, 7, 7, 11, 5, 8, 6) * 6)
+    for seq in (*envelope_sequences.values(), mixed):
         rows = dimension_report(seq, len(seq)).rows
         for n, row in enumerate(rows, start=1):
             assert row == partial_dimension(seq, n)
+            assert row.envelope == envelope_bounds(seq, n)
+
+
+def test_report_refusals_keep_their_messages():
+    with pytest.raises(ValueError, match="^precision 32 below the 64-bit floor$"):
+        dimension_report(CONST5, 5, precision_bits=32)
+    seq = TreeSequence((5, 7, 4, 9, 11))
+    assert len(dimension_report(seq, 2).rows) == 2
+    with pytest.raises(ValueError, match=r"^valency 4 < 5; the shifted side needs l - 2 >= 3$"):
+        dimension_report(seq, 5)

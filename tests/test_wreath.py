@@ -69,6 +69,27 @@ def test_wreath_order_log_agrees_with_exact():
             assert abs(mpmath.log(mpmath.mpf(exact)) - log_value) < mpmath.mpf(2) ** -120
 
 
+def test_log_order_sums_evaluates_each_valency_once(monkeypatch):
+    import spinaldim.wreath as wreath
+
+    calls = []
+    real_lnfact = wreath.lnfact
+
+    def counting_lnfact(n, precision_bits=128):
+        calls.append(n)
+        return real_lnfact(n, precision_bits)
+
+    monkeypatch.setattr(wreath, "lnfact", counting_lnfact)
+    log_order_sums.cache_clear()
+    log_order_sums((7,) * 50, 128)
+    assert len(calls) <= 2
+    calls.clear()
+    mixed = (5, 9, 5, 7, 9, 5) * 10
+    log_order_sums(mixed, 128)
+    assert len(calls) <= 2 * len(set(mixed))
+    log_order_sums.cache_clear()
+
+
 def test_wreath_order_budget_refusal(monkeypatch):
     import spinaldim.wreath as wreath
 
