@@ -87,7 +87,6 @@ def test_log_order_sums_evaluates_each_valency_once(monkeypatch):
     mixed = (5, 9, 5, 7, 9, 5) * 10
     log_order_sums(mixed, 128)
     assert len(calls) <= 2 * len(set(mixed))
-    log_order_sums.cache_clear()
 
 
 def test_wreath_order_budget_refusal(monkeypatch):
