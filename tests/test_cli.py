@@ -322,6 +322,9 @@ def test_json_text_matches_json_dumps():
     # the deep-tree benchmark op: 200-level constant reports at the default 128 bits
     ("scripts/dimension_scan.py --levels 200 --constants 5,12 --targets=",
      "492897f7aaf2e7ccad211aec9a133f21d29fa0fcc3e0d9881d9751c9f896c279"),
+    # the other six deep-tree pool valencies
+    ("scripts/dimension_scan.py --levels 200 --constants 6,11,7,10,8,9 --targets=",
+     "5eb82fceb9f3faccefc839f945d0f92c8f59299a66a43d8a7b9dd9982bb70a12"),
     # entries above the fast-conversion threshold, in every printing path
     ("synth --alpha 1/3 --terms 16 --format json",
      "ad06c519aca39471bc7f72f22a7b7610ed6e14e49df62db3122ae04823ba91d7"),
