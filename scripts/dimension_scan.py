@@ -14,9 +14,20 @@ import argparse
 import sys
 from fractions import Fraction
 
-import mpmath
+from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
 
 from spinaldim import TreeSequence, dimension_report, synthesize
+
+# alpha_n is printed as mpmath.mpf(num) / den at 53 bits: the numerator is
+# rounded, then the quotient.  One correctly rounded quotient would be no
+# closer to the exact decimal, and it moves the 12th digit of rare rows
+# (constant-56 n=143 prints ...285 instead of ...284, the exact digits).
+ALPHA_BITS = 53
+
+
+def _alpha(q):
+    return mpf_div(from_int(q.numerator, ALPHA_BITS, round_nearest), from_int(q.denominator),
+                   ALPHA_BITS, round_nearest)
 
 
 def emit_block(tag, seq, levels, precision, digits=12):
@@ -24,12 +35,12 @@ def emit_block(tag, seq, levels, precision, digits=12):
     print(f"# family={tag} sequence_prefix={','.join(map(str, seq.valencies[:4]))}...")
     print("n,alpha_n,d_n,lower_n,upper_n")
     for row in report.rows:
-        alpha = mpmath.mpf(row.alpha.numerator) / row.alpha.denominator
+        env = row.envelope
         print(
-            f"{row.n},{mpmath.nstr(alpha, digits)},{mpmath.nstr(row.d, digits)},"
-            f"{mpmath.nstr(row.envelope.lower, digits)},{mpmath.nstr(row.envelope.upper, digits)}"
+            f"{row.n},{to_str(_alpha(row.alpha), digits)},{to_str(row.d._mpf_, digits)},"
+            f"{to_str(env.lower._mpf_, digits)},{to_str(env.upper._mpf_, digits)}"
         )
-    print(f"# liminf_estimate={mpmath.nstr(report.liminf_estimate, digits)} "
+    print(f"# liminf_estimate={to_str(report.liminf_estimate._mpf_, digits)} "
           f"diverged={report.diverged}")
     print()
 

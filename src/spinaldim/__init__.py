@@ -13,7 +13,6 @@ from .dimension import (
     alpha_target,
     chain_rule_table,
     dimension_report,
-    envelope_bounds,
     partial_dimension,
     rigid_product_dimension,
     rigid_product_partial,
@@ -56,7 +55,6 @@ __all__ = [
     "denominator_witness",
     "dimension_report",
     "embedded_alt_generators",
-    "envelope_bounds",
     "lnfact",
     "partial_dimension",
     "rigid_product_dimension",

@@ -23,11 +23,14 @@ E = sum m_j ln (l_j-2)!.  The upper bound trades each ln (l_j-2)! for the
 Stirling-type bound 1 + l_j (ln l_j - 1), every unit weighted by the
 largest m'_{n-1}.
 
-These formulas live in one private row builder.  ``partial_dimension``
-and ``envelope_bounds`` check their inputs and call it; ``dimension_report``
-asks ``partial_dimension`` for each level, so a deep report evaluates each
-valency's logs once (in ``log_order_sums``) and reads every row off the
-cached prefix sums under one working precision per row.
+The sums are exact ints at a fixed binary scale whose only roundings are
+the logs themselves, so t1, t2, ratio, upper and d are each one correctly
+rounded quotient; lower, t1_cap and the tolerance flags are worked at the
+row's working precision.  These formulas live in one private row builder.
+``partial_dimension`` checks its inputs and calls it, and
+``dimension_report`` asks ``partial_dimension`` for each level, so a deep
+report evaluates each valency's logs once (in ``log_order_sums``) and reads
+every row off the cached sums.
 """
 
 from __future__ import annotations
@@ -85,20 +88,6 @@ class EnvelopeRow(NamedTuple):
     t1_cap_ok: bool = True
 
 
-def envelope_bounds(seq: TreeSequence, n: int, precision_bits: int = 128) -> EnvelopeRow:
-    """Two-sided bounds around the level-n quotient ratio.
-
-    ``ratio`` is the quotient of the two log-orders with the powers of two
-    dropped; ``lower`` and ``upper`` must bracket it, T2 <= T1 always, and
-    for nondecreasing sequences T1 <= 8/l_{n-1}.
-    """
-    _require_precision(precision_bits)
-    _require_subgroup_side(seq, n)
-    if not 1 <= n <= len(seq):
-        raise ValueError(f"level {n} outside 1..{len(seq)}")
-    return _level_row(seq, n, precision_bits).envelope
-
-
 class DimensionRow(NamedTuple):
     n: int
     log_subgroup: mpf
@@ -118,44 +107,60 @@ class DimensionReport(NamedTuple):
     flagged_levels: list[int]  # levels whose envelope row fails the sandwich check
 
 
-def _level_row(seq: TreeSequence, n: int, precision_bits: int) -> DimensionRow:
-    """The level-n row read off the prefix sums; the caller has checked its inputs."""
-    import mpmath
+def _quotient(p: int, q: int, prec: int) -> tuple:
+    """p/q for ints p and q > 0, correctly rounded to prec bits, as a raw mpf."""
+    from mpmath.libmp import mpf_div, round_nearest
 
+    return mpf_div((int(p < 0), abs(p), 0, abs(p).bit_length()), (0, q, 0, q.bit_length()),
+                   prec, round_nearest)
+
+
+def _level_row(seq: TreeSequence, n: int, precision_bits: int) -> DimensionRow:
+    """The level-n row read off the prefix sums; the caller has checked its inputs.
+
+    t1, t2, ratio, upper and d are each one correctly rounded quotient of
+    the exact sums.  lower, t1_cap and the flags are worked at wp bits on
+    raw mpf values, and only the fields the row keeps become mpf objects.
+    """
+    import mpmath
+    from mpmath.libmp import fone, from_man_exp, from_rational, mpf_add, mpf_div, mpf_le
+    from mpmath.libmp import round_nearest as rnd
+
+    wp = precision_bits + _GUARD_BITS
     sums = log_order_sums(seq.valencies, precision_bits)
     prefixes = _alpha_prefixes(seq.valencies)
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        t1 = sums.split_l[n] / sums.split_sub[n]
-        t2 = sums.split_l1[n] / sums.split_sub[n]
-        alpha_prefix = prefixes[n - 1]
-        a = mpmath.mpf(alpha_prefix.numerator) / alpha_prefix.denominator
-        ratio = sums.fact_sub[n] / sums.fact[n]
-        lower = a / (1 + t1 + t2)
-        upper = (n * sums.size_sub[n - 1] + sums.stirling_sub[n]) / sums.fact[n]
-        t1_cap = mpmath.mpf(8) / seq[n - 1]
-        tol = mpmath.mpf(2) ** (-(precision_bits // 2))
-        envelope = EnvelopeRow(
+    t1 = _quotient(sums.split_l[n], sums.split_sub[n], wp)
+    t2 = _quotient(sums.split_l1[n], sums.split_sub[n], wp)
+    ratio = _quotient(sums.fact_sub[n], sums.fact[n], wp)
+    upper = _quotient(n * sums.size_sub[n - 1] + sums.stirling_sub[n], sums.fact[n], wp)
+    alpha_prefix = prefixes[n - 1]
+    a = from_rational(alpha_prefix.numerator, alpha_prefix.denominator, wp, rnd)
+    lower = mpf_div(a, mpf_add(mpf_add(fone, t1, wp, rnd), t2, wp, rnd), wp, rnd)
+    t1_cap = from_rational(8, seq[n - 1], wp, rnd)
+    tol = (0, 1, -(precision_bits // 2), 1)
+    make = mpmath.mp.make_mpf
+    log_h, log_g = sums.order_sub[n], sums.order[n]
+    return DimensionRow(
+        n=n,
+        log_subgroup=make(from_man_exp(log_h, -wp, wp, rnd)),
+        log_ambient=make(from_man_exp(log_g, -wp, wp, rnd)),
+        d=make(_quotient(log_h, log_g, wp)),
+        alpha=prefixes[n],
+        envelope=EnvelopeRow(
             n=n,
             alpha_prefix=alpha_prefix,
-            ratio=ratio,
-            lower=lower,
-            upper=upper,
-            t1=t1,
-            t2=t2,
-            t1_cap=t1_cap,
-            sandwich_ok=bool(lower <= ratio + tol and ratio <= upper + tol),
-            t_order_ok=bool(t2 <= t1 + tol),
-            t1_cap_ok=bool(t1 <= t1_cap + tol),
-        )
-        log_h, log_g = sums.order_sub[n], sums.order[n]
-        return DimensionRow(
-            n=n,
-            log_subgroup=log_h,
-            log_ambient=log_g,
-            d=log_h / log_g,
-            alpha=prefixes[n],
-            envelope=envelope,
-        )
+            ratio=make(ratio),
+            lower=make(lower),
+            upper=make(upper),
+            t1=make(t1),
+            t2=make(t2),
+            t1_cap=make(t1_cap),
+            sandwich_ok=(mpf_le(lower, mpf_add(ratio, tol, wp, rnd))
+                         and mpf_le(ratio, mpf_add(upper, tol, wp, rnd))),
+            t_order_ok=mpf_le(t2, mpf_add(t1, tol, wp, rnd)),
+            t1_cap_ok=mpf_le(t1, mpf_add(t1_cap, tol, wp, rnd)),
+        ),
+    )
 
 
 def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> DimensionRow:
@@ -227,13 +232,15 @@ def chain_rule_table(
     _require_subgroup_side(seq_h, n_max)
     log_g, log_h, log_k = (log_order_sums(s.valencies, precision_bits).order
                            for s in (seq_g, seq_h, seq_k))
+    wp = precision_bits + _GUARD_BITS
+    make = mpmath.mp.make_mpf
     out = []
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
+    with mpmath.workprec(wp):
         for n in range(1, n_max + 1):
             lg, lh, lk = log_g[n], log_h[n], log_k[n]
-            q_hg = lh / lg
-            q_kh = lk / lh
-            q_kg = lk / lg
+            q_hg = make(_quotient(lh, lg, wp))
+            q_kh = make(_quotient(lk, lh, wp))
+            q_kg = make(_quotient(lk, lg, wp))
             prod = q_hg * q_kh
             out.append(
                 ChainRuleRow(
@@ -275,5 +282,5 @@ def rigid_product_partial(
     if not n < m <= len(seq):
         raise ValueError(f"horizon m={m} must satisfy {n} < m <= {len(seq)}")
     order = log_order_sums(seq.valencies, precision_bits).order
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        return (k * (order[m] - order[n]) / m_n) / order[m]
+    return mpmath.mp.make_mpf(
+        _quotient(k * (order[m] - order[n]), m_n * order[m], precision_bits + _GUARD_BITS))

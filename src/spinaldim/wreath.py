@@ -7,8 +7,9 @@ generated subgroup's quotients.  ``exact_wreath_order`` multiplies it out
 as an exact integer after a float estimate of its digit count, with no
 mpmath.  ``log_order_sums`` makes one pass over a sequence and keeps every
 weighted log sum the quotient, dimension and envelope code divides, so
-each level reads its logs off prefix sums; the logs of each distinct
-valency are evaluated once per pass.
+each level reads its logs off prefix sums.  The logs of each distinct
+valency are evaluated and rounded once per pass; the sums of them are
+exact integers at a fixed binary scale.
 ``verify_level_action`` checks the four generators really produce a group
 of that order at desk scale, using the stabilizer chain as the independent
 counter.  When the generators' labels prove the closed form is an upper
@@ -62,60 +63,85 @@ class LogOrderSums(NamedTuple):
         order_sub     sum m'_j (ln (l_j-2)! - ln 2), the same over l_j - 2
 
     ``size_sub[n]`` is m'_n.  The split sums come from l! = l (l-1) (l-2)!.
+
+    Every entry is an exact int at the scale 2^wp, wp = precision_bits +
+    _GUARD_BITS: the sum is the entry times 2^-wp.  Each log is rounded once
+    to a multiple of 2^-wp and the sums of those logs are exact, so a ratio
+    of two entries is the ratio of the sums, with nothing rounded but the
+    logs until the quotient itself.
     """
 
-    fact: tuple[mpf, ...]
-    fact_sub: tuple[mpf, ...]
-    split_sub: tuple[mpf, ...]
-    split_l: tuple[mpf, ...]
-    split_l1: tuple[mpf, ...]
-    stirling_sub: tuple[mpf, ...]
-    order: tuple[mpf, ...]
-    order_sub: tuple[mpf, ...]
-    size_sub: tuple[mpf, ...]
+    fact: tuple[int, ...]
+    fact_sub: tuple[int, ...]
+    split_sub: tuple[int, ...]
+    split_l: tuple[int, ...]
+    split_l1: tuple[int, ...]
+    stirling_sub: tuple[int, ...]
+    order: tuple[int, ...]
+    order_sub: tuple[int, ...]
+    size_sub: tuple[int, ...]
+
+
+def _fixed(x: mpf, wp: int) -> tuple[int, int]:
+    """x rounded to the nearest multiple of 2^-wp, as (mantissa, shift).
+
+    x 2^wp is ``mantissa << shift``.  The mantissa keeps the bits of x (at
+    most wp of them), so m x at the scale 2^wp is ``(m * mantissa) << shift``
+    however large x is, and no term multiplies two huge integers.
+    """
+    sign, man, exp, _ = x._mpf_
+    shift = exp + wp
+    if shift < 0:
+        man, shift = (man + (1 << (-shift - 1))) >> -shift, 0
+    return (-man if sign else man), shift
 
 
 @functools.lru_cache(maxsize=8)
 def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderSums:
-    """All prefix sums of ``LogOrderSums`` in one pass, at precision_bits plus guard bits.
+    """All prefix sums of ``LogOrderSums`` in one pass, as exact ints at the scale 2^wp.
 
-    ln l!, ln (l-2)!, ln l and ln (l-1) are evaluated once per distinct
-    valency, so a constant tree of any depth makes two ``lnfact`` calls.
+    ln l!, ln (l-2)!, ln l, ln (l-1) and l (ln l - 1) are evaluated once per
+    distinct valency at wp = precision_bits + _GUARD_BITS bits and rounded
+    once to the scale, so a constant tree of any depth makes two ``lnfact``
+    calls.  The sums then only multiply the exact level sizes by those
+    wp-bit mantissas, shift and add.
     """
     import mpmath
 
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        zero = mpmath.mpf(0)
-        rows = [(zero,) * 6 + (0, 0)]
-        size_sub = [mpmath.mpf(1)]
+    wp = precision_bits + _GUARD_BITS
+    with mpmath.workprec(wp):
+        ln2, ln2_shift = _fixed(mpmath.log(2), wp)
+        rows = [(0,) * 8]
+        size_sub = [1 << wp]
         m = m_sub = 1
-        logs = {}  # valency -> (ln l!, ln (l-2)!, ln l, ln (l-1))
+        logs = {}  # valency -> (mantissa, shift) of ln l!, ln (l-2)!, ln l, ln (l-1), l (ln l - 1)
         for l in valencies:
             if l not in logs:
-                logs[l] = (lnfact(l, precision_bits), lnfact(l - 2, precision_bits),
-                           mpmath.log(l), mpmath.log(l - 1))
-            lf, lf_sub, ln_l, ln_l1 = logs[l]
+                ln_l = mpmath.log(l)
+                logs[l] = tuple(_fixed(x, wp) for x in (
+                    lnfact(l, precision_bits), lnfact(l - 2, precision_bits), ln_l,
+                    mpmath.log(l - 1), l * (ln_l - 1)))
+            (lf, lf_s), (lf_sub, lf_sub_s), (ln_l, ln_l_s), (ln_l1, ln_l1_s), (st, st_s) = logs[l]
             # the last two terms count the vertices above level n, as exact integers
-            terms = (m * lf, m_sub * lf_sub, m * lf_sub, m * ln_l, m * ln_l1,
-                     m_sub * l * (ln_l - 1), m, m_sub)
+            terms = ((m * lf) << lf_s, (m_sub * lf_sub) << lf_sub_s, (m * lf_sub) << lf_sub_s,
+                     (m * ln_l) << ln_l_s, (m * ln_l1) << ln_l1_s, (m_sub * st) << st_s, m, m_sub)
             rows.append(tuple(acc + t for acc, t in zip(rows[-1], terms)))
             m *= l
             m_sub *= l - 2
-            size_sub.append(mpmath.mpf(m_sub))
-        (fact, fact_sub, split_sub, split_l, split_l1, stirling_sub,
-         internal, internal_sub) = zip(*rows)
-        ln2 = mpmath.log(2)
-        return LogOrderSums(
-            fact=fact,
-            fact_sub=fact_sub,
-            split_sub=split_sub,
-            split_l=split_l,
-            split_l1=split_l1,
-            stirling_sub=stirling_sub,
-            order=tuple(f - ln2 * w for f, w in zip(fact, internal)),
-            order_sub=tuple(f - ln2 * w for f, w in zip(fact_sub, internal_sub)),
-            size_sub=tuple(size_sub),
-        )
+            size_sub.append(m_sub << wp)
+    (fact, fact_sub, split_sub, split_l, split_l1, stirling_sub,
+     internal, internal_sub) = zip(*rows)
+    return LogOrderSums(
+        fact=fact,
+        fact_sub=fact_sub,
+        split_sub=split_sub,
+        split_l=split_l,
+        split_l1=split_l1,
+        stirling_sub=stirling_sub,
+        order=tuple(f - ((w * ln2) << ln2_shift) for f, w in zip(fact, internal)),
+        order_sub=tuple(f - ((w * ln2) << ln2_shift) for f, w in zip(fact_sub, internal_sub)),
+        size_sub=tuple(size_sub),
+    )
 
 
 def exact_wreath_order(valencies: tuple[int, ...]) -> int:
@@ -200,7 +226,10 @@ def labels_in_wreath_product(portraits: list[Portrait], which: str) -> bool:
 
 def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
     """Refuse a prefix whose shifted valencies l_j - 2, j < n, fall below 3."""
-    for l in seq.valencies[:n]:
+    prefix = seq.valencies[:n]
+    if min(prefix, default=5) >= 5:
+        return
+    for l in prefix:  # name the first bad valency
         if l < 5:
             raise ValueError(f"valency {l} < 5; the shifted side needs l - 2 >= 3")
 

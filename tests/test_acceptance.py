@@ -22,7 +22,6 @@ from spinaldim import (
     dimension_report,
     denominator_witness,
     embedded_alt_generators,
-    envelope_bounds,
     partial_dimension,
     rigid_product_dimension,
     spectrum_sample,
@@ -162,7 +161,7 @@ def test_a5_envelope_sandwich():
     seq = synthesize(Fraction(1, 2), 12).sequence()
     tol = mpmath.mpf(2) ** -56
     for n in range(1, 13):
-        env = envelope_bounds(seq, n, 128)
+        env = partial_dimension(seq, n, 128).envelope
         assert env.lower <= env.ratio + tol, f"lower bound fails at n={n}"
         assert env.ratio <= env.upper + tol, f"upper bound fails at n={n}"
         assert env.t2 <= env.t1 + tol, f"T2 > T1 at n={n}"

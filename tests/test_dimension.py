@@ -2,19 +2,21 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinaldim import (
     TreeSequence,
     alpha_target,
     chain_rule_table,
     dimension_report,
-    envelope_bounds,
     partial_dimension,
     rigid_product_dimension,
     rigid_product_partial,
     synthesize,
 )
 from spinaldim.dimension import EnvelopeRow
+from spinaldim.wreath import _GUARD_BITS
 
 CONST5 = TreeSequence((5,) * 40)
 
@@ -59,7 +61,7 @@ def test_envelope_row_flags_default_true():
 
 def test_envelope_t_checks_constant_five():
     for n in (1, 2, 5, 10):
-        env = envelope_bounds(CONST5, n)
+        env = partial_dimension(CONST5, n).envelope
         assert env.t_order_ok  # T2 <= T1
         assert env.t1_cap_ok  # T1 <= 8/5
         assert env.sandwich_ok
@@ -68,7 +70,7 @@ def test_envelope_t_checks_constant_five():
 def test_envelope_sandwich_synthesized():
     seq = synthesize(Fraction(1, 2), 12).sequence()
     for n in range(1, 13):
-        env = envelope_bounds(seq, n)
+        env = partial_dimension(seq, n).envelope
         tol = mpmath.mpf(2) ** -56
         assert env.lower <= env.ratio + tol
         assert env.ratio <= env.upper + tol
@@ -79,7 +81,7 @@ def test_envelope_sandwich_synthesized():
 def test_envelope_alpha_prefix_is_exact_product():
     seq = synthesize(Fraction(1, 3), 6).sequence()
     for n in (1, 3, 6):
-        env = envelope_bounds(seq, n)
+        env = partial_dimension(seq, n).envelope
         assert env.alpha_prefix == alpha_target(seq, n - 1)
 
 
@@ -251,7 +253,7 @@ def test_envelope_matches_top_down_reference(envelope_sequences):
         for n in range(1, len(seq) + 1):
             ref = reference_envelope(seq, n)
             for bits in ((128, 256) if n % 2 else (256, 128)):
-                env = envelope_bounds(seq, n, bits)
+                env = partial_dimension(seq, n, bits).envelope
                 for key, want in ref.items():
                     err = abs(getattr(env, key) - want)
                     assert err < tolerances[bits], (name, n, bits, key)
@@ -263,7 +265,19 @@ def test_report_rows_equal_single_level_rows(envelope_sequences):
         rows = dimension_report(seq, len(seq)).rows
         for n, row in enumerate(rows, start=1):
             assert row == partial_dimension(seq, n)
-            assert row.envelope == envelope_bounds(seq, n)
+
+
+@pytest.mark.parametrize("valencies, ok_level, bad_level, bad", [
+    ((5, 4), 1, 2, 4),
+    ((7, 9, 4, 6), 2, 4, 4),
+    ((6, 3, 4, 9), 1, 4, 3),
+])
+def test_subgroup_side_refusal_names_the_first_bad_valency(valencies, ok_level, bad_level, bad):
+    seq = TreeSequence(valencies)
+    assert partial_dimension(seq, ok_level).n == ok_level
+    message = rf"^valency {bad} < 5; the shifted side needs l - 2 >= 3$"
+    with pytest.raises(ValueError, match=message):
+        partial_dimension(seq, bad_level)
 
 
 def test_report_refusals_keep_their_messages():
@@ -273,3 +287,43 @@ def test_report_refusals_keep_their_messages():
     assert len(dimension_report(seq, 2).rows) == 2
     with pytest.raises(ValueError, match=r"^valency 4 < 5; the shifted side needs l - 2 >= 3$"):
         dimension_report(seq, 5)
+
+
+@given(valencies=st.lists(st.integers(5, 60), min_size=1, max_size=40),
+       bits=st.sampled_from([64, 128, 256]))
+def test_rows_match_a_direct_recomputation_at_twice_the_working_precision(valencies, bits):
+    seq = TreeSequence(tuple(valencies))
+    rows = dimension_report(seq, len(seq), bits).rows
+    with mpmath.workprec(2 * (bits + _GUARD_BITS)):
+        ln2 = mpmath.log(2)
+        fact = fact_sub = split_sub = split_l = split_l1 = stirling = order = order_sub = 0
+        m = m_sub = 1
+        tol = mpmath.mpf(2) ** -(bits // 2)
+        for n, (l, row) in enumerate(zip(valencies, rows), start=1):
+            lf, lf_sub, ln_l = mpmath.loggamma(l + 1), mpmath.loggamma(l - 1), mpmath.log(l)
+            fact += m * lf
+            fact_sub += m_sub * lf_sub
+            split_sub += m * lf_sub
+            split_l += m * ln_l
+            split_l1 += m * mpmath.log(l - 1)
+            stirling += m_sub * l * (ln_l - 1)
+            order += m * (lf - ln2)
+            order_sub += m_sub * (lf_sub - ln2)
+            want = {
+                "d": order_sub / order,
+                "ratio": fact_sub / fact,
+                "t1": split_l / split_sub,
+                "t2": split_l1 / split_sub,
+                "upper": (n * m_sub + stirling) / fact,
+            }
+            lower = mpmath.mpf(m_sub) / m / (1 + want["t1"] + want["t2"])
+            env = row.envelope
+            for key, value in want.items():
+                got = row.d if key == "d" else getattr(env, key)
+                assert abs(got - value) <= abs(value) * mpmath.mpf(2) ** -bits, (n, key)
+            assert env.sandwich_ok == (lower <= want["ratio"] + tol
+                                       and want["ratio"] <= want["upper"] + tol), n
+            assert env.t_order_ok == (want["t2"] <= want["t1"] + tol), n
+            assert env.t1_cap_ok == (want["t1"] <= mpmath.mpf(8) / l + tol), n
+            m *= l
+            m_sub *= l - 2

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -13,10 +14,14 @@ from spinaldim import (
     embedded_alt_generators,
     lnfact,
     spinal_group_portraits,
+    synthesize,
     verify_level_action,
 )
 from spinaldim.wreath import (
+    _GUARD_BITS,
     LevelActionReport,
+    LogOrderSums,
+    _fixed,
     exact_wreath_order,
     labels_in_wreath_product,
     log_order_sums,
@@ -64,9 +69,67 @@ def test_wreath_order_monotone_in_level():
 def test_wreath_order_log_agrees_with_exact():
     for valencies in ((5, 5), (5, 13, 133)):
         exact = exact_wreath_order(valencies)
-        log_value = log_order_sums(valencies, 128).order[len(valencies)]
+        scaled = log_order_sums(valencies, 128).order[len(valencies)]
         with mpmath.workprec(200):
+            log_value = mpmath.mpf(scaled) / 2 ** (128 + _GUARD_BITS)
             assert abs(mpmath.log(mpmath.mpf(exact)) - log_value) < mpmath.mpf(2) ** -120
+
+
+def reference_log_order_sums(valencies, precision_bits):
+    """The prefix sums by a plain loop: every log scaled by 2^wp and rounded to an integer."""
+    wp = precision_bits + _GUARD_BITS
+
+    def scaled(x):
+        return round(Fraction(x.man) * Fraction(2) ** (x.exp + wp))
+
+    with mpmath.workprec(wp):
+        ln2 = scaled(mpmath.log(2))
+        sums = {name: [0] for name in LogOrderSums._fields}
+        sums["size_sub"] = [2 ** wp]
+        m = m_sub = 1
+        for l in valencies:
+            lf, lf_sub = scaled(lnfact(l, precision_bits)), scaled(lnfact(l - 2, precision_bits))
+            ln_l = mpmath.log(l)
+            terms = {
+                "fact": m * lf,
+                "fact_sub": m_sub * lf_sub,
+                "split_sub": m * lf_sub,
+                "split_l": m * scaled(ln_l),
+                "split_l1": m * scaled(mpmath.log(l - 1)),
+                "stirling_sub": m_sub * scaled(l * (ln_l - 1)),
+                "order": m * (lf - ln2),
+                "order_sub": m_sub * (lf_sub - ln2),
+            }
+            for name, term in terms.items():
+                sums[name].append(sums[name][-1] + term)
+            m *= l
+            m_sub *= l - 2
+            sums["size_sub"].append(m_sub * 2 ** wp)
+    return LogOrderSums(**{name: tuple(v) for name, v in sums.items()})
+
+
+@pytest.mark.parametrize("valencies, bits", [
+    ((7,) * 200, 128),
+    ((5, 9, 3, 13, 7, 4, 11, 5, 8, 6) * 6, 64),
+    (synthesize(Fraction(1, 2), 18).sequence().valencies, 256),
+], ids=["constant-7 x200", "mixed x60", "minimal 1/2 x18"])
+def test_log_order_sums_are_exact_sums_of_the_rounded_logs(valencies, bits):
+    got = log_order_sums(valencies, bits)
+    want = reference_log_order_sums(valencies, bits)
+    for name in LogOrderSums._fields:
+        assert all(type(x) is int for x in getattr(got, name)), name
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 3), (-5, 7), (2, 3 * 10**10), (355 * 10**40, 113)])
+def test_fixed_point_log_rounds_once_to_the_scale(p, q):
+    wp = 96
+    with mpmath.workprec(wp):
+        value = mpmath.mpf(p) / q
+    mantissa, shift = _fixed(value, wp)
+    assert abs(mantissa).bit_length() <= wp and shift >= 0
+    scaled = round(Fraction(value.man) * Fraction(2) ** (value.exp + wp))
+    assert mantissa << shift == (-scaled if value < 0 else scaled)
 
 
 def test_log_order_sums_evaluates_each_valency_once(monkeypatch):
@@ -251,9 +314,9 @@ def test_exact_order_digit_estimate_matches_log_value(valencies, monkeypatch):
     import spinaldim.wreath as wreath
 
     monkeypatch.setattr(wreath, "_EXACT_DIGIT_BUDGET", 0)
-    log_value = log_order_sums(valencies, 128).order[len(valencies)]
+    scaled = log_order_sums(valencies, 128).order[len(valencies)]
     with mpmath.workprec(160):
-        digits = float(log_value / mpmath.log(10))
+        digits = float(mpmath.mpf(scaled) / 2 ** (128 + _GUARD_BITS) / mpmath.log(10))
     with pytest.raises(BudgetExceeded) as err:
         exact_wreath_order(valencies)
     assert err.value.required == pytest.approx(digits, rel=1e-12)
