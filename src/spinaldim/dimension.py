@@ -108,11 +108,10 @@ class DimensionReport(NamedTuple):
 
 
 def _quotient(p: int, q: int, prec: int) -> tuple:
-    """p/q for ints p and q > 0, correctly rounded to prec bits, as a raw mpf."""
+    """p/q for ints p >= 0 and q > 0, correctly rounded to prec bits, as a raw mpf."""
     from mpmath.libmp import mpf_div, round_nearest
 
-    return mpf_div((int(p < 0), abs(p), 0, abs(p).bit_length()), (0, q, 0, q.bit_length()),
-                   prec, round_nearest)
+    return mpf_div((0, p, 0, p.bit_length()), (0, q, 0, q.bit_length()), prec, round_nearest)
 
 
 def _level_row(seq: TreeSequence, n: int, precision_bits: int) -> DimensionRow:
@@ -137,7 +136,7 @@ def _level_row(seq: TreeSequence, n: int, precision_bits: int) -> DimensionRow:
     a = from_rational(alpha_prefix.numerator, alpha_prefix.denominator, wp, rnd)
     lower = mpf_div(a, mpf_add(mpf_add(fone, t1, wp, rnd), t2, wp, rnd), wp, rnd)
     t1_cap = from_rational(8, seq[n - 1], wp, rnd)
-    tol = (0, 1, -(precision_bits // 2), 1)
+    tol = (0, 1, -(precision_bits // 2), 1)  # 2^-(precision_bits // 2)
     make = mpmath.mp.make_mpf
     log_h, log_g = sums.order_sub[n], sums.order[n]
     return DimensionRow(
