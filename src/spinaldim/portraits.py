@@ -93,13 +93,33 @@ class Portrait:
         return tuple(out)
 
     def level_permutation(self, n: int) -> Permutation:
-        """The permutation induced on the lexicographically indexed level n."""
+        """The permutation induced on the lexicographically indexed level n.
+
+        Built a level at a time on 0-based indices: child x of the vertex
+        with index i has index i*l + x, and goes to child label(x) of the
+        image of i, where label sits at the source vertex.
+        """
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} exceeds depth {self.depth}")
-        images = [0] * self.seq.level_size(n)
-        for i, v in enumerate(self.seq.vertices(n)):
-            images[i] = self.seq.vertex_index(self.apply(v))
-        return Permutation(tuple(images))
+        labels: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+        for v, perm in self.labels.items():
+            if len(v) < n:
+                i = 0
+                for l, x in zip(self.seq, v):
+                    i = i * l + x - 1
+                labels[len(v)][i] = perm.images
+        images = [0]
+        for l, level_labels in zip(self.seq, labels):
+            nxt = []
+            for i, image in enumerate(images):
+                first = image * l
+                label = level_labels.get(i)
+                if label is None:
+                    nxt.extend(range(first, first + l))
+                else:
+                    nxt.extend(first + y - 1 for y in label)
+            images = nxt
+        return Permutation(tuple(x + 1 for x in images))
 
     def __repr__(self) -> str:
         return f"Portrait(depth={self.depth}, labels={len(self.labels)})"

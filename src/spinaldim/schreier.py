@@ -13,10 +13,14 @@ regardless of what the randomized phase did:
   Any witness it finds is fed back in and the pass is rerun until it
   comes back clean.
 
-The verification pass is the expensive part; it is batched with numpy, one
-matrix holding every Schreier generator of a level at once, and refuses
-with :class:`~spinaldim.errors.BudgetExceeded` when that matrix would
-exceed ``_VERIFY_BYTES_LIMIT``.
+The verification pass is the expensive part.  A small pass, whose
+Schreier generators would fill at most ``_LOOP_SIFT_BYTES`` of int32
+matrices, sifts them one at a time in pure Python, dropping each as soon
+as it reduces to the identity; a larger one is batched with numpy, one
+matrix holding every Schreier generator of a level at once, and pays the
+numpy import only then.  Both return the same witnesses in the same
+order, and both refuse with :class:`~spinaldim.errors.BudgetExceeded` at
+the first level whose matrix would exceed ``_VERIFY_BYTES_LIMIT``.
 
 Internally permutations are 0-based tuples; the public API speaks
 :class:`~spinaldim.perms.Permutation`.  Composition gathers the images in
@@ -26,7 +30,8 @@ new generator has produced a new point.  Each level stores only the
 inverses u_b^-1 of its coset representatives, since sifting reads nothing
 else; every strong generator keeps its inverse beside it, so each new
 u_b^-1 is one composition.  The verification pass derives the forward u_b
-of the level it is checking by inverting those rows with ``argsort``.
+of the level it is checking by inverting those rows (with ``argsort`` in
+the numpy batch).
 """
 
 from __future__ import annotations
@@ -40,8 +45,14 @@ from .perms import Permutation
 
 _EXIT_ROUNDS = 16
 _MAX_WITNESSES_PER_PASS = 64
+_INT32_BYTES = 4
 # largest (generators x orbit x degree) int32 matrix the verification pass builds
 _VERIFY_BYTES_LIMIT = 1 << 30
+# measured crossover on a 2-vCPU VM: the pure-Python sift takes 0.1-0.5 us per
+# matrix entry and ties numpy plus its 0.12-0.18 s import between (7,7) L2 G
+# without a bound (0.52M entries: 0.24 s vs 0.11 s) and (9,5,5) L3 H (1.16M
+# entries: 0.25 s vs 0.09 s), so passes of up to 2**20 entries take the loop
+_LOOP_SIFT_BYTES = 1 << 22
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -94,6 +105,7 @@ class StabilizerChain:
         self._identity = tuple(range(degree))
         self._levels: list[_Level] = []
         self._rng = Random(seed)
+        self._order_bound = order_bound
         self.seed = seed
 
         raw = [tuple(x - 1 for x in g.images) for g in gens]
@@ -213,8 +225,16 @@ class StabilizerChain:
                     queue.append(b)
 
     def _randomized_fill(self) -> None:
+        """Add random products until ``_EXIT_ROUNDS`` in a row sift away.
+
+        The fill also stops after its round limit, and once the order meets
+        the order bound, since every later add is a full sift that cannot
+        succeed.  The order changes only when an add succeeds, so only then
+        is it compared with the bound.
+        """
+        bound = self._order_bound
         gens = [g for g, _ in self._pairs_at(0)]
-        if not gens:
+        if not gens or (bound is not None and self.order() == bound):
             return
         slots = gens + [self._identity] * 3
         stall = 0
@@ -231,6 +251,8 @@ class StabilizerChain:
                 other = _inv(other)
             slots[i] = _mul(slots[i], other)
             if self._add(slots[i]):
+                if bound is not None and self.order() == bound:
+                    return
                 stall = 0
             else:
                 stall += 1
@@ -238,12 +260,88 @@ class StabilizerChain:
     # -- verification ----------------------------------------------------
 
     def _verify_pass(self) -> list[tuple[int, ...]]:
-        """Sift every Schreier generator at every level, batched with numpy.
+        """Sift every Schreier generator u_{s(a)}^-1 s u_a at every level.
 
-        Returns nonidentity residues (deduplicated).  An empty list proves
-        the chain exact: by Schreier's lemma each stabilizer is then
+        Returns nonidentity residues, deduplicated: for each level in turn,
+        those stuck at each lower level in level order, then those that
+        sifted through the whole chain, stopping after the first level that
+        brings the count to ``_MAX_WITNESSES_PER_PASS``.  An empty list
+        proves the chain exact: by Schreier's lemma each stabilizer is then
         generated by the next level's strong generators.
+
+        A pass whose levels would fill at most ``_LOOP_SIFT_BYTES`` of int32
+        matrices in all is sifted one generator at a time in pure Python;
+        a larger one is batched with numpy.  Both give the same list, and
+        both refuse a level whose matrix would exceed
+        ``_VERIFY_BYTES_LIMIT``.
         """
+        deg = self.degree
+        work = []
+        for i, lv in enumerate(self._levels):
+            gens = [g for g, _ in self._pairs_at(i)]
+            work.append((gens, len(gens) * len(lv.inv_transversal) * deg * _INT32_BYTES))
+        if sum(required for _, required in work) <= _LOOP_SIFT_BYTES:
+            sift = self._loop_sift
+        else:
+            sift = self._numpy_sift()
+
+        witnesses: list[tuple[int, ...]] = []
+        seen: set[tuple[int, ...]] = set()
+        for i, (gens, required) in enumerate(work):
+            if not gens:
+                continue
+            if required > _VERIFY_BYTES_LIMIT:
+                raise BudgetExceeded(
+                    f"Schreier verification at base level {i} needs a {required}-byte "
+                    f"matrix (limit {_VERIFY_BYTES_LIMIT})",
+                    required=required,
+                    limit=_VERIFY_BYTES_LIMIT,
+                )
+            for w in sift(i, gens):
+                if w not in seen:
+                    seen.add(w)
+                    witnesses.append(w)
+            if len(witnesses) >= _MAX_WITNESSES_PER_PASS:
+                return witnesses
+        return witnesses
+
+    def _loop_sift(self, i: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Level i's nonidentity residues, one Schreier generator at a time.
+
+        Generators are taken s-major over the sorted orbit points, the row
+        order of the numpy batch; residues stuck at each lower level come in
+        level order, then the full-sift ones.
+        """
+        lv = self._levels[i]
+        identity = self._identity
+        orbit = lv.inv_transversal
+        below = [(low.base, low.inv_transversal) for low in self._levels[i + 1:]]
+        stuck: list[list[tuple[int, ...]]] = [[] for _ in below]
+        full = []
+        us = [_inv(orbit[a]) for a in sorted(orbit)]
+        for s in gens:
+            for u in us:
+                su = _mul(s, u)
+                g = _mul(orbit[su[lv.base]], su)
+                if g == identity:
+                    continue
+                for j, (b, transversal) in enumerate(below):
+                    p = g[b]
+                    if p == b:
+                        continue
+                    u_inv = transversal.get(p)
+                    if u_inv is None:
+                        stuck[j].append(g)
+                        break
+                    g = _mul(u_inv, g)
+                    if g == identity:
+                        break
+                else:
+                    full.append(g)
+        return [g for rows in stuck for g in rows] + full
+
+    def _numpy_sift(self):
+        """A level sift like ``_loop_sift``, batched: one int32 row per generator."""
         import numpy as np
 
         deg = self.degree
@@ -257,33 +355,13 @@ class StabilizerChain:
             pos_l.append(pos)
             uinv_l.append(np.array([lv.inv_transversal[p] for p in pts], dtype=np.int32))
 
-        witnesses: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-
-        def note(rows) -> None:
-            for row in rows:
-                t = tuple(int(x) for x in row)
-                if t not in seen:
-                    seen.add(t)
-                    witnesses.append(t)
-
-        for i, lv in enumerate(levels):
+        def sift(i: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+            out: list[tuple[int, ...]] = []
             pos_i, uinv_i = pos_l[i], uinv_l[i]
-            gens_i = [g for g, _ in self._pairs_at(i)]
-            if not gens_i:
-                continue
-            required = len(gens_i) * len(uinv_i) * deg * np.dtype(np.int32).itemsize
-            if required > _VERIFY_BYTES_LIMIT:
-                raise BudgetExceeded(
-                    f"Schreier verification at base level {i} needs a {required}-byte "
-                    f"matrix (limit {_VERIFY_BYTES_LIMIT})",
-                    required=required,
-                    limit=_VERIFY_BYTES_LIMIT,
-                )
-            s_stack = np.array(gens_i, dtype=np.int32)
+            s_stack = np.array(gens, dtype=np.int32)
             # row k of uinv_i is u^-1 for one orbit point, so argsort inverts it back to u
             su = s_stack[:, np.argsort(uinv_i, axis=1)].reshape(-1, deg)
-            sel = pos_i[su[:, lv.base]]
+            sel = pos_i[su[:, levels[i].base]]
             w = np.take(uinv_i, sel[:, None] * deg + su)
             w = w[~(w == idrow).all(axis=1)]
             for j in range(i + 1, len(levels)):
@@ -292,7 +370,7 @@ class StabilizerChain:
                 sel = pos_l[j][w[:, levels[j].base]]
                 bad = sel < 0
                 if bad.any():
-                    note(w[bad])
+                    out.extend(map(tuple, w[bad].tolist()))
                     w = w[~bad]
                     sel = sel[~bad]
                     if w.size == 0:
@@ -301,8 +379,7 @@ class StabilizerChain:
                 done = (w == idrow).all(axis=1)
                 if done.any():
                     w = w[~done]
-            if w.size:
-                note(w)
-            if len(witnesses) >= _MAX_WITNESSES_PER_PASS:
-                return witnesses
-        return witnesses
+            out.extend(map(tuple, w.tolist()))
+            return out
+
+        return sift

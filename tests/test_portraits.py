@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from spinaldim import (
@@ -6,6 +8,7 @@ from spinaldim import (
     TreeSequence,
     alt_generators,
     embedded_alt_generators,
+    spinal_group_portraits,
 )
 
 SEQ55 = TreeSequence((5, 5))
@@ -137,3 +140,32 @@ def test_dump_format():
     assert p.dump_records() == [{"level": 1, "path": [2], "cycles": "(3 4 5)"}]
     deep = Portrait.spinal("psi", TreeSequence((5, 5, 5)), 3)
     assert deep.dump_lines() == ["2 1,2: (1 2 3 4 5)", "1 2: (1 2 3 4 5)"]
+
+
+def _level_permutation_by_vertices(p, n):
+    # the definition: index each image of a lexicographically enumerated vertex
+    return Permutation(tuple(p.seq.vertex_index(p.apply(v)) for v in p.seq.vertices(n)))
+
+
+@pytest.mark.parametrize("valencies", [(5, 5, 5), (7, 5, 6), (6, 9, 5), (11, 8)])
+@pytest.mark.parametrize("group", ["G", "H"])
+def test_level_permutation_matches_vertex_images(valencies, group):
+    seq = TreeSequence(valencies)
+    for depth in range(1, len(seq) + 1):
+        for p in spinal_group_portraits(seq, depth, group):
+            for n in range(depth + 1):
+                assert p.level_permutation(n) == _level_permutation_by_vertices(p, n)
+
+
+def test_level_permutation_matches_vertex_images_with_labels_everywhere():
+    rng = Random(3)
+    seq = TreeSequence((4, 3, 5))
+    labels = {}
+    for k in range(3):
+        for v in seq.vertices(k):
+            images = list(range(1, seq[k] + 1))
+            rng.shuffle(images)
+            labels[v] = Permutation(images)
+    p = Portrait(seq, 3, labels)
+    for n in range(4):
+        assert p.level_permutation(n) == _level_permutation_by_vertices(p, n)
