@@ -104,10 +104,7 @@ class Portrait:
         labels: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
         for v, perm in self.labels.items():
             if len(v) < n:
-                i = 0
-                for l, x in zip(self.seq, v):
-                    i = i * l + x - 1
-                labels[len(v)][i] = perm.images
+                labels[len(v)][self.seq.vertex_index(v) - 1] = perm.images
         images = [0]
         for l, level_labels in zip(self.seq, labels):
             nxt = []
