@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .dimension import dimension_report
+from .dimension import _quotient, dimension_report
 from .errors import BudgetExceeded
 from .portraits import Portrait
 from .synthesis import spectrum_sample, spectrum_svg, synthesize
 from .trees import TreeSequence
-from .wreath import verify_level_action
+from .wreath import _GUARD_BITS, verify_level_action
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -46,10 +47,11 @@ def _nstr(x, digits: int) -> str:
 
 
 def _ratio_text(q: Fraction, digits: int) -> str:
-    """``q`` to ``digits`` significant digits, divided at mpmath's default precision."""
+    """``q`` >= 0 to ``digits`` significant digits, rounded once to guard bits beyond them."""
     import mpmath
 
-    return _nstr(mpmath.mpf(q.numerator) / q.denominator, digits)
+    prec = max(53, math.ceil(digits * math.log2(10)) + _GUARD_BITS)
+    return _nstr(mpmath.mp.make_mpf(_quotient(q.numerator, q.denominator, prec)), digits)
 
 
 # measured crossover: below about 2**15 bits the built-in conversion is faster
@@ -252,6 +254,10 @@ def _cmd_dim(args) -> int:
         raise ValueError("levels cannot exceed terms")
     if args.alpha in (0, 1):
         raise ValueError("dimension report needs a target strictly between 0 and 1")
+    carried = int(args.precision * math.log10(2))
+    if args.digits > carried:
+        raise ValueError(f"--digits {args.digits} exceeds the {carried} digits "
+                         f"that --precision {args.precision} carries")
     cfg = RunConfig("dim", {
         "alpha": str(args.alpha), "terms": args.terms, "levels": args.levels,
         "strategy": args.strategy, "precision": args.precision, "digits": args.digits,

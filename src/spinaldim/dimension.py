@@ -90,8 +90,6 @@ class EnvelopeRow(NamedTuple):
 
 class DimensionRow(NamedTuple):
     n: int
-    log_subgroup: mpf
-    log_ambient: mpf
     d: mpf
     alpha: Fraction
     envelope: EnvelopeRow
@@ -122,7 +120,7 @@ def _level_row(seq: TreeSequence, n: int, precision_bits: int) -> DimensionRow:
     raw mpf values, and only the fields the row keeps become mpf objects.
     """
     import mpmath
-    from mpmath.libmp import fone, from_man_exp, from_rational, mpf_add, mpf_div, mpf_le
+    from mpmath.libmp import fone, from_rational, mpf_add, mpf_div, mpf_le
     from mpmath.libmp import round_nearest as rnd
 
     wp = precision_bits + _GUARD_BITS
@@ -138,12 +136,9 @@ def _level_row(seq: TreeSequence, n: int, precision_bits: int) -> DimensionRow:
     t1_cap = from_rational(8, seq[n - 1], wp, rnd)
     tol = (0, 1, -(precision_bits // 2), 1)  # 2^-(precision_bits // 2)
     make = mpmath.mp.make_mpf
-    log_h, log_g = sums.order_sub[n], sums.order[n]
     return DimensionRow(
         n=n,
-        log_subgroup=make(from_man_exp(log_h, -wp, wp, rnd)),
-        log_ambient=make(from_man_exp(log_g, -wp, wp, rnd)),
-        d=make(_quotient(log_h, log_g, wp)),
+        d=make(_quotient(sums.order_sub[n], sums.order[n], wp)),
         alpha=prefixes[n],
         envelope=EnvelopeRow(
             n=n,

@@ -161,21 +161,15 @@ def alt_generators(k: int) -> tuple[Permutation, Permutation]:
 
 
 def embedded_alt_generators(k: int) -> tuple[Permutation, Permutation]:
-    """Generators (kappa, rho) of the alternating group on 1..k-2 inside degree k.
+    """The degree-(k-2) pair of alt_generators, fixing k-1 and k: (kappa, rho).
 
-    Both fix the points k-1 and k.  kappa is the 3-cycle ((k-4)(k-3)(k-2)),
-    which equals sigma**-2 * tau * sigma**2 for the pair above.  rho has the
-    shape of the degree-(k-2) sigma from alt_generators, embedded on the
-    first k-2 points: (1 ... k-2) for odd k, the even variant otherwise.
+    So kappa is the 3-cycle ((k-4)(k-3)(k-2)), which equals
+    sigma**-2 * tau * sigma**2 for the degree-k pair.  For k = 5, where
+    alt_generators has no pair, both are the 3-cycle (1 2 3).
     """
     if k < 5:
         raise ValueError("embedded alternating pair needs degree >= 5")
-    kappa = Permutation.from_cycles(k, [(k - 4, k - 3, k - 2)])
-    if k % 2 == 1:
-        rho = Permutation.from_cycles(k, [tuple(range(1, k - 1))])
-    elif k == 6:
-        rho = Permutation.from_cycles(k, [(1, 2), (3, 4)])
-    else:
-        long_cycle = tuple(range(2, k - 4)) + (k - 3, k - 2)
-        rho = Permutation.from_cycles(k, [(1, k - 4), long_cycle])
-    return kappa, rho
+    if k == 5:
+        return (Permutation.from_cycles(k, [(1, 2, 3)]),) * 2
+    tau, sigma = alt_generators(k - 2)
+    return Permutation(tau.images + (k - 1, k)), Permutation(sigma.images + (k - 1, k))

@@ -15,12 +15,12 @@ regardless of what the randomized phase did:
 
 The verification pass is the expensive part.  A small pass, whose
 Schreier generators would fill at most ``_LOOP_SIFT_BYTES`` of int32
-matrices, sifts them one at a time in pure Python, dropping each as soon
-as it reduces to the identity; a larger one is batched with numpy, one
-matrix holding every Schreier generator of a level at once, and pays the
-numpy import only then.  Both return the same witnesses in the same
-order, and both refuse with :class:`~spinaldim.errors.BudgetExceeded` at
-the first level whose matrix would exceed ``_VERIFY_BYTES_LIMIT``.
+matrices, sends them one at a time through the same ``_sift`` walk that
+adding a generator uses; a larger one is batched with numpy, one matrix
+holding every Schreier generator of a level at once, and pays the numpy
+import only then.  Both return the same witnesses in the same order, and
+both refuse with :class:`~spinaldim.errors.BudgetExceeded` at the first
+level whose matrix would exceed ``_VERIFY_BYTES_LIMIT``.
 
 Internally permutations are 0-based tuples; the public API speaks
 :class:`~spinaldim.perms.Permutation`.  Composition gathers the images in
@@ -270,7 +270,7 @@ class StabilizerChain:
         generated by the next level's strong generators.
 
         A pass whose levels would fill at most ``_LOOP_SIFT_BYTES`` of int32
-        matrices in all is sifted one generator at a time in pure Python;
+        matrices in all sends one generator at a time through ``_sift``;
         a larger one is batched with numpy.  Both give the same list, and
         both refuse a level whose matrix would exceed
         ``_VERIFY_BYTES_LIMIT``.
@@ -306,39 +306,24 @@ class StabilizerChain:
         return witnesses
 
     def _loop_sift(self, i: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Level i's nonidentity residues, one Schreier generator at a time.
+        """Level i's nonidentity residues, each Schreier generator through ``_sift``.
 
         Generators are taken s-major over the sorted orbit points, the row
-        order of the numpy batch; residues stuck at each lower level come in
-        level order, then the full-sift ones.
+        order of the numpy batch.  s and u_a fix the bases of levels 0..i-1,
+        so the walk starts at level i; an identity residue comes back from
+        the last level and is dropped.  Residues stuck at each lower level
+        come in level order, then the full-sift ones.
         """
-        lv = self._levels[i]
+        orbit = self._levels[i].inv_transversal
         identity = self._identity
-        orbit = lv.inv_transversal
-        below = [(low.base, low.inv_transversal) for low in self._levels[i + 1:]]
-        stuck: list[list[tuple[int, ...]]] = [[] for _ in below]
-        full = []
+        stuck: list[list[tuple[int, ...]]] = [[] for _ in range(len(self._levels) + 1)]
         us = [_inv(orbit[a]) for a in sorted(orbit)]
         for s in gens:
             for u in us:
-                su = _mul(s, u)
-                g = _mul(orbit[su[lv.base]], su)
-                if g == identity:
-                    continue
-                for j, (b, transversal) in enumerate(below):
-                    p = g[b]
-                    if p == b:
-                        continue
-                    u_inv = transversal.get(p)
-                    if u_inv is None:
-                        stuck[j].append(g)
-                        break
-                    g = _mul(u_inv, g)
-                    if g == identity:
-                        break
-                else:
-                    full.append(g)
-        return [g for rows in stuck for g in rows] + full
+                residue, level = self._sift(_mul(s, u))
+                if residue != identity:
+                    stuck[level].append(residue)
+        return [g for rows in stuck for g in rows]
 
     def _numpy_sift(self):
         """A level sift like ``_loop_sift``, batched: one int32 row per generator."""

@@ -184,6 +184,45 @@ def test_spectrum_json_and_svg(tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_spectrum_decimal_is_exact_to_thirty_digits():
+    code, out, _ = run_cli("spectrum", "--alpha", "1/2", "--seq", "5,7,9", "--max-den", "3",
+                           "--horizon", "1", "--digits", "30")
+    assert code == 0
+    decimals = {e["value"]: e["decimal"] for e in json.loads(out)["entries"]}
+    assert decimals["1/3*alpha"] == "0.1" + "6" * 28 + "7"
+    assert decimals["2/3"] == "0." + "6" * 29 + "7"
+
+
+def _significant_digits(q, digits):
+    """The first ``digits`` significant digits of 0 < q < 1, rounded with integer arithmetic."""
+    shift = digits
+    while q * 10 ** shift < 10 ** (digits - 1):
+        shift += 1
+    return str(round(q * 10 ** shift))
+
+
+def test_synth_gap_is_exact_to_forty_digits():
+    from fractions import Fraction
+
+    code, out, _ = run_cli("synth", "--alpha", "1/3", "--terms", "5", "--digits", "40")
+    assert code == 0
+    row = out.splitlines()[5].split(",")
+    assert row[0] == "3"
+    gap = Fraction(int(row[4]), int(row[5])) - Fraction(1, 3)
+    printed = row[6].replace(".", "").lstrip("0")
+    assert printed == _significant_digits(gap, 40)
+
+
+def test_dim_refuses_digits_beyond_its_precision():
+    argv = ("dim", "--alpha", "1/2", "--terms", "3", "--levels", "2", "--precision", "64")
+    code, out, err = run_cli(*argv, "--digits", "20")
+    assert code == 2 and out == ""
+    assert err == "error: --digits 20 exceeds the 19 digits that --precision 64 carries\n"
+    code, out, _ = run_cli(*argv, "--digits", "19")
+    assert code == 0
+    assert len(out.splitlines()[2].split(",")[3].replace(".", "").lstrip("0")) == 19
+
+
 def test_portrait_text_golden():
     code, out, _ = run_cli("portrait", "--gen", "zeta", "--seq", "5,5", "--depth", "2")
     assert code == 0
