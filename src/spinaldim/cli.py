@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import __version__
 from .dimension import _quotient, dimension_report
 from .errors import BudgetExceeded
-from .portraits import Portrait
+from .portraits import GROUPS, SPINAL_KINDS, Portrait
 from .synthesis import spectrum_sample, spectrum_svg, synthesize
 from .trees import TreeSequence
 from .wreath import _GUARD_BITS, verify_level_action
@@ -157,6 +157,16 @@ def _parse_alpha(text: str) -> Fraction:
     return alpha
 
 
+def _parse_digits(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse digits {text!r}") from exc
+    if digits < 1:
+        raise argparse.ArgumentTypeError("digits must be at least 1")
+    return digits
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinaldim",
@@ -170,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", required=True, type=int)
     p.add_argument("--strategy", choices=["minimal", "prime-rich"], default="minimal")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_parse_digits, default=12)
     p.add_argument("--out")
 
     p = sub.add_parser("dim", help="synthesize, then report partial dimensions")
@@ -180,13 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["minimal", "prime-rich"], default="minimal")
     p.add_argument("--precision", type=int, default=128)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_parse_digits, default=12)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="check a finite level action against its closed form")
     p.add_argument("--seq", required=True, type=_parse_seq)
     p.add_argument("--level", required=True, type=int)
-    p.add_argument("--group", choices=["G", "H"], default="G")
+    p.add_argument("--group", choices=list(GROUPS), default="G")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=700)
     p.add_argument("--timing", action="store_true")
@@ -198,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-den", required=True, type=int)
     p.add_argument("--horizon", required=True, type=int)
     p.add_argument("--svg")
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_parse_digits, default=12)
     p.add_argument("--out")
 
     p = sub.add_parser("portrait", help="dump the labels of a spinal generator")
-    p.add_argument("--gen", required=True, choices=["zeta", "psi", "xi", "theta"])
+    p.add_argument("--gen", required=True, choices=list(SPINAL_KINDS))
     p.add_argument("--seq", required=True, type=_parse_seq)
     p.add_argument("--depth", required=True, type=int)
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -212,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    if args.terms < 1:
-        raise ValueError("terms must be at least 1")
     cfg = RunConfig("synth", {
         "alpha": str(args.alpha), "terms": args.terms, "strategy": args.strategy,
         "digits": args.digits,
@@ -248,8 +256,6 @@ def _cmd_synth(args) -> int:
 def _cmd_dim(args) -> int:
     if args.levels < 1:
         raise ValueError("levels must be at least 1")
-    if args.terms < 1:
-        raise ValueError("terms must be at least 1")
     if args.levels > args.terms:
         raise ValueError("levels cannot exceed terms")
     if args.alpha in (0, 1):
@@ -301,8 +307,6 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 1 <= args.level <= len(args.seq):
-        raise ValueError(f"level must lie in 1..{len(args.seq)}")
     cfg = RunConfig("verify", {
         "seq": args.seq.to_text(), "level": args.level, "group": args.group,
         "seed": args.seed, "cap": args.cap,
@@ -322,10 +326,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.max_den < 1:
-        raise ValueError("max denominator must be at least 1")
-    if not 0 <= args.horizon <= len(args.seq):
-        raise ValueError(f"horizon must lie in 0..{len(args.seq)}")
     cfg = RunConfig("spectrum", {
         "alpha": str(args.alpha), "seq": args.seq.to_text(), "max_den": args.max_den,
         "horizon": args.horizon, "digits": args.digits,
@@ -351,8 +351,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_portrait(args) -> int:
-    if not 1 <= args.depth <= len(args.seq):
-        raise ValueError(f"depth must lie in 1..{len(args.seq)}")
     cfg = RunConfig("portrait", {
         "gen": args.gen, "seq": args.seq.to_text(), "depth": args.depth,
     })

@@ -12,7 +12,16 @@ from __future__ import annotations
 from .perms import Permutation, alt_generators, embedded_alt_generators
 from .trees import TreeSequence, Vertex
 
-SPINAL_KINDS = ("zeta", "psi", "xi", "theta")
+# Each group once: its rooted pair of degree l, its two spinal kinds and its
+# shift s.  H is G's construction with every A_l replaced by the A_{l-s}
+# on the first l - s letters.
+GROUPS = {
+    "G": (alt_generators, ("zeta", "psi"), 0),
+    "H": (embedded_alt_generators, ("xi", "theta"), 2),
+}
+# spinal kind -> (pair function, index of its label in the pair)
+SPINAL_KINDS = {kind: (pair, index) for pair, kinds, _ in GROUPS.values()
+                for index, kind in enumerate(kinds)}
 
 
 class Portrait:
@@ -62,20 +71,8 @@ class Portrait:
             raise ValueError(f"unknown spinal kind {kind!r}")
         if not 1 <= depth <= len(seq):
             raise ValueError(f"spinal depth {depth} outside 1..{len(seq)}")
-        labels = {}
-        for k in range(1, depth):
-            degree = seq[k]
-            if kind in ("xi", "theta") and degree < 5:
-                raise ValueError("xi/theta need valencies >= 5 below the root")
-            if kind == "zeta":
-                perm = alt_generators(degree)[0]
-            elif kind == "psi":
-                perm = alt_generators(degree)[1]
-            elif kind == "xi":
-                perm = embedded_alt_generators(degree)[0]
-            else:
-                perm = embedded_alt_generators(degree)[1]
-            labels[(1,) * (k - 1) + (2,)] = perm
+        pair, index = SPINAL_KINDS[kind]
+        labels = {(1,) * (k - 1) + (2,): pair(seq[k])[index] for k in range(1, depth)}
         return cls(seq, depth, labels)
 
     # -- basic queries -----------------------------------------------------

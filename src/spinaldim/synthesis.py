@@ -240,6 +240,8 @@ def spectrum_sample(
         raise ValueError("target must lie in [0, 1]")
     if max_denominator < 1:
         raise ValueError("max denominator must be at least 1")
+    if not 0 <= horizon <= len(seq):
+        raise ValueError(f"horizon must lie in 0..{len(seq)}")
     entries: list[SpectrumEntry] = []
     for b in range(1, max_denominator + 1):
         res = denominator_witness(Fraction(1, b), seq, horizon)

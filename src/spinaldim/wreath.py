@@ -1,19 +1,20 @@
 """Closed-form quotient orders, log-factorials and level-action verification.
 
 The full group of even-labeled automorphisms of a depth-n truncation has
-order  prod_{i<n} (l_i!/2)^{m_i}  with m_i the size of level i.  The same
-closed form over the shifted sequence (l_i - 2) gives the finitely
-generated subgroup's quotients.  ``exact_wreath_order`` multiplies it out
-as an exact integer after a float estimate of its digit count, with no
-mpmath.  ``log_order_sums`` makes one pass over a sequence and keeps every
-weighted log sum the quotient, dimension and envelope code divides, so
-each level reads its logs off prefix sums.  The logs of each distinct
-valency are evaluated and rounded once per pass; the sums of them are
-exact integers at a fixed binary scale.
-``verify_level_action`` checks the four generators really produce a group
-of that order at desk scale, using the stabilizer chain as the independent
-counter.  When the generators' labels prove the closed form is an upper
-bound, the chain is certified by reaching it instead of by a Schreier pass.
+order  prod_{i<n} (l_i!/2)^{m_i}  with m_i the size of level i.  Each group
+of ``portraits.GROUPS`` carries a shift s, 0 for G and 2 for H, and its
+closed form is the same product over the shifted sequence (l_i - s).
+``exact_wreath_order`` multiplies it out as an exact integer after a float
+estimate of its digit count, with no mpmath.  ``log_order_sums`` makes one
+pass over a sequence and keeps every weighted log sum the quotient,
+dimension and envelope code divides, so each level reads its logs off
+prefix sums.  The logs of each distinct valency are evaluated and rounded
+once per pass; the sums of them are exact integers at a fixed binary scale.
+``verify_level_action`` checks that a group's four generators really
+produce a group of that order at desk scale, using the stabilizer chain as
+the independent counter.  When the generators' labels prove the closed
+form is an upper bound, the chain is certified by reaching it instead of
+by a Schreier pass.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded, DegreeCapExceeded
-from .perms import alt_generators, embedded_alt_generators
-from .portraits import Portrait
+from .portraits import GROUPS, Portrait
 from .schreier import StabilizerChain
 from .trees import TreeSequence
 
@@ -174,62 +174,50 @@ def exact_wreath_order(valencies: tuple[int, ...]) -> int:
     return exact
 
 
-def spinal_group_portraits(seq: TreeSequence, depth: int, which: str) -> list[Portrait]:
-    """The four defining generators as portraits of the given depth.
+def _group(which: str) -> tuple:
+    """The ``GROUPS`` row of ``which``: (rooted pair function, spinal kinds, shift)."""
+    if which not in GROUPS:
+        raise ValueError(f"group must be {' or '.join(map(repr, GROUPS))}, got {which!r}")
+    return GROUPS[which]
 
-    which="G": rooted tau and sigma of degree l_0 plus the spinal pair
-    zeta, psi.  which="H": rooted kappa and rho plus xi, theta, the
-    subgroup generators acting as the alternating group on l_i - 2 points
-    in every section.
+
+def spinal_group_portraits(seq: TreeSequence, depth: int, which: str) -> list[Portrait]:
+    """The four defining generators of ``which`` as portraits of the given depth.
+
+    The rooted pair of its row at degree l_0, then its two spinal kinds.
+    G: tau, sigma, zeta, psi.  H: kappa, rho, xi, theta, the subgroup
+    generators acting as the alternating group on l_i - 2 points in every
+    section.
     """
-    if which == "G":
-        a, b = alt_generators(seq[0])
-        return [
-            Portrait.rooted(a, seq, depth),
-            Portrait.rooted(b, seq, depth),
-            Portrait.spinal("zeta", seq, depth),
-            Portrait.spinal("psi", seq, depth),
-        ]
-    if which == "H":
-        a, b = embedded_alt_generators(seq[0])
-        return [
-            Portrait.rooted(a, seq, depth),
-            Portrait.rooted(b, seq, depth),
-            Portrait.spinal("xi", seq, depth),
-            Portrait.spinal("theta", seq, depth),
-        ]
-    raise ValueError(f"group must be 'G' or 'H', got {which!r}")
+    pair, kinds, _ = _group(which)
+    return ([Portrait.rooted(g, seq, depth) for g in pair(seq[0])]
+            + [Portrait.spinal(kind, seq, depth) for kind in kinds])
 
 
 def labels_in_wreath_product(portraits: list[Portrait], which: str) -> bool:
     """Whether the labels prove the closed form bounds the generated level action.
 
-    G: every label is even, so the group lies in the iterated wreath
-    product of the A_{l_i}.  H: every label is even and fixes l - 1 and l,
-    and only vertices whose letters are all <= l - 2 carry labels.  The
-    group then preserves the subtree on letters <= l_i - 2, moves a vertex
-    only through its prefix inside that subtree, and so acts on level n as
-    a subgroup of the iterated wreath product of the A_{l_i - 2}.
+    With s the shift of ``which``: every label is even and fixes the letters
+    above l - s, and only vertices whose letters are all <= l_i - s carry
+    labels.  The group then preserves the subtree on letters <= l_i - s,
+    moves a vertex only through its prefix inside that subtree, and so acts
+    on level n as a subgroup of the iterated wreath product of the
+    A_{l_i - s}.  For G (s = 0) only the evenness says anything.
     """
+    shift = _group(which)[2]
     for p in portraits:
         for v, perm in p.labels.items():
-            if not perm.is_even():
+            top = perm.degree - shift  # the letters above top stay fixed
+            if not perm.is_even() or perm.images[top:] != tuple(range(top + 1, perm.degree + 1)):
                 return False
-            if which == "H":
-                l = perm.degree
-                if perm(l - 1) != l - 1 or perm(l) != l:
-                    return False
-                if any(x > p.seq[i] - 2 for i, x in enumerate(v)):
-                    return False
+            if any(x > p.seq[i] - shift for i, x in enumerate(v)):
+                return False
     return True
 
 
 def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
     """Refuse a prefix whose shifted valencies l_j - 2, j < n, fall below 3."""
-    prefix = seq.valencies[:n]
-    if min(prefix, default=5) >= 5:
-        return
-    for l in prefix:  # name the first bad valency
+    for l in seq.valencies[:n]:
         if l < 5:
             raise ValueError(f"valency {l} < 5; the shifted side needs l - 2 >= 3")
 
@@ -265,13 +253,10 @@ def verify_level_action(
             limit=degree_cap,
         )
     start = time.perf_counter()
-    if which == "H":
+    shift = _group(which)[2]
+    if shift:
         _require_subgroup_side(seq, n)
-        expected = exact_wreath_order(tuple(l - 2 for l in seq.valencies[:n]))
-    elif which == "G":
-        expected = exact_wreath_order(seq.valencies[:n])
-    else:
-        raise ValueError(f"group must be 'G' or 'H', got {which!r}")
+    expected = exact_wreath_order(tuple(l - shift for l in seq.valencies[:n]))
     portraits = spinal_group_portraits(seq, n, which)
     images = [p.level_permutation(n) for p in portraits]
     bound = expected if labels_in_wreath_product(portraits, which) else None

@@ -143,6 +143,16 @@ def test_usage_errors_exit_two():
     assert code == 2
     code, _, _ = run_cli("synth", "--alpha", "1.5", "--terms", "3")
     assert code == 2
+    for argv, digits in (
+        (["synth", "--alpha", "1/3", "--terms", "3"], "0"),
+        (["synth", "--alpha", "1/3", "--terms", "3"], "-3"),
+        (["dim", "--alpha", "1/2", "--terms", "3", "--levels", "3"], "0"),
+        (["spectrum", "--alpha", "1/2", "--seq", "5,7,9", "--max-den", "3", "--horizon", "1"],
+         "x"),
+    ):
+        code, out, err = run_cli(*argv, "--digits", digits)
+        assert code == 2 and out == ""
+        assert f"spinaldim {argv[0]}: error: argument --digits: " in err
 
 
 def test_dim_csv_shape():

@@ -275,6 +275,12 @@ def test_spectrum_max_denominator_one():
     assert {e.text for e in res.entries if e.provenance == "L"} == {"0", "1"}
 
 
+def test_spectrum_refuses_a_horizon_outside_the_sequence():
+    for horizon in (-1, len(SEQ) + 1):
+        with pytest.raises(ValueError, match=f"horizon must lie in 0..{len(SEQ)}"):
+            spectrum_sample(Fraction(1, 2), SEQ, 5, horizon)
+
+
 def test_spectrum_realization_witness():
     res = spectrum_sample(Fraction(2, 5), TreeSequence((5, 13, 133)), 5, 3)
     by_text = {e.text: e for e in res.entries if e.provenance == "L"}

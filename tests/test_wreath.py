@@ -17,6 +17,7 @@ from spinaldim import (
     synthesize,
     verify_level_action,
 )
+from spinaldim.portraits import GROUPS
 from spinaldim.wreath import (
     _GUARD_BITS,
     LevelActionReport,
@@ -218,13 +219,13 @@ def test_report_defaults():
     assert r.elapsed_ms == 0.0 and r.certificate == "schreier"
 
 
-@pytest.mark.parametrize("which", ["G", "H"])
+@pytest.mark.parametrize("which", GROUPS)
 def test_labels_in_wreath_product_accepts_the_spinal_generators(which):
     portraits = spinal_group_portraits(TreeSequence((7, 6, 5)), 3, which)
     assert labels_in_wreath_product(portraits, which)
 
 
-@pytest.mark.parametrize("which", ["G", "H"])
+@pytest.mark.parametrize("which", GROUPS)
 def test_labels_in_wreath_product_refuses_an_odd_label(which):
     seq = TreeSequence((7, 7))
     portraits = spinal_group_portraits(seq, 2, which)
@@ -251,6 +252,12 @@ def test_labels_in_wreath_product_refuses_h_label_moving_a_reserved_point():
     moving = Portrait(seq, 2, {(1,): tau})
     assert not labels_in_wreath_product(portraits + [moving], "H")
     assert labels_in_wreath_product(portraits + [moving], "G")
+
+
+def test_labels_in_wreath_product_refuses_an_unknown_group():
+    portraits = spinal_group_portraits(TreeSequence((7, 7)), 2, "G")
+    with pytest.raises(ValueError, match="group must be 'G' or 'H', got 'K'"):
+        labels_in_wreath_product(portraits, "K")
 
 
 def test_odd_extra_generator_gets_no_order_bound(monkeypatch):
