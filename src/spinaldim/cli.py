@@ -1,9 +1,11 @@
 """Deterministic command-line front end.
 
 Data goes to stdout (or --out), diagnostics to stderr.  Exit codes:
-0 success, 2 usage error, 3 verification mismatch, 4 budget or cap
-refusal.  Identical configurations produce byte-identical output; timing
-is only emitted when --timing is passed.
+0 success, 2 usage error (an output path that cannot be written
+included), 3 verification mismatch, 4 budget or cap refusal.  Each
+subcommand's parser names its handler, and every output echoes the
+parsed flags except ``_UNECHOED``.  Identical configurations produce
+byte-identical output; timing is only emitted when --timing is passed.
 """
 
 from __future__ import annotations
@@ -13,15 +15,15 @@ import json
 import math
 import re
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .dimension import _quotient, dimension_report
+from .dimension import _quotient, _require_precision, dimension_report
 from .errors import BudgetExceeded
 from .portraits import GROUPS, SPINAL_KINDS, Portrait
-from .synthesis import spectrum_sample, spectrum_svg, synthesize
+from .synthesis import STRATEGIES, spectrum_sample, spectrum_svg, synthesize
 from .trees import TreeSequence
-from .wreath import _GUARD_BITS, verify_level_action
+from .wreath import _DEGREE_CAP, _GUARD_BITS, verify_level_action
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -29,15 +31,22 @@ if TYPE_CHECKING:
 USAGE_ERROR = 2
 MISMATCH_ERROR = 3
 BUDGET_ERROR = 4
+# parsed flags that route a run or its output rather than shape its result
+_UNECHOED = ("command", "handler", "format", "out", "svg", "timing")
 
 
-class RunConfig(NamedTuple):
-    command: str
-    options: dict
+def _config(args) -> dict:
+    """Every other parsed flag in declaration order, sequences and alpha as text."""
+    return {
+        key: value.to_text() if isinstance(value, TreeSequence)
+        else value if isinstance(value, (int, str)) else str(value)
+        for key, value in vars(args).items() if key not in _UNECHOED
+    }
 
-    def echo(self) -> dict:
-        return {"tool": "spinaldim", "version": __version__, "command": self.command,
-                "config": dict(self.options)}
+
+def _echo(args) -> dict:
+    return {"tool": "spinaldim", "version": __version__, "command": args.command,
+            "config": _config(args)}
 
 
 def _nstr(x, digits: int) -> str:
@@ -133,9 +142,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_comment(cfg: RunConfig) -> str:
-    opts = " ".join(f"{k}={v}" for k, v in cfg.options.items())
-    return f"# spinaldim {__version__} {cfg.command} {opts}\n"
+def _csv_comment(args) -> str:
+    opts = " ".join(f"{k}={v}" for k, v in _config(args).items())
+    return f"# spinaldim {__version__} {args.command} {opts}\n"
 
 
 def _parse_seq(text: str) -> TreeSequence:
@@ -176,33 +185,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="synthesize a valency sequence for a target")
+    p.set_defaults(handler=_cmd_synth)
     p.add_argument("--alpha", required=True, type=_parse_alpha)
     p.add_argument("--terms", required=True, type=int)
-    p.add_argument("--strategy", choices=["minimal", "prime-rich"], default="minimal")
+    p.add_argument("--strategy", choices=list(STRATEGIES), default="minimal")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--digits", type=_parse_digits, default=12)
     p.add_argument("--out")
 
     p = sub.add_parser("dim", help="synthesize, then report partial dimensions")
+    p.set_defaults(handler=_cmd_dim)
     p.add_argument("--alpha", required=True, type=_parse_alpha)
     p.add_argument("--terms", required=True, type=int)
     p.add_argument("--levels", required=True, type=int)
-    p.add_argument("--strategy", choices=["minimal", "prime-rich"], default="minimal")
+    p.add_argument("--strategy", choices=list(STRATEGIES), default="minimal")
     p.add_argument("--precision", type=int, default=128)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--digits", type=_parse_digits, default=12)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="check a finite level action against its closed form")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--seq", required=True, type=_parse_seq)
     p.add_argument("--level", required=True, type=int)
     p.add_argument("--group", choices=list(GROUPS), default="G")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=700)
+    p.add_argument("--cap", type=int, default=_DEGREE_CAP)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("spectrum", help="sample realizable dimensions")
+    p.set_defaults(handler=_cmd_spectrum)
     p.add_argument("--alpha", required=True, type=_parse_alpha)
     p.add_argument("--seq", required=True, type=_parse_seq)
     p.add_argument("--max-den", required=True, type=int)
@@ -212,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("portrait", help="dump the labels of a spinal generator")
+    p.set_defaults(handler=_cmd_portrait)
     p.add_argument("--gen", required=True, choices=list(SPINAL_KINDS))
     p.add_argument("--seq", required=True, type=_parse_seq)
     p.add_argument("--depth", required=True, type=int)
@@ -222,13 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    cfg = RunConfig("synth", {
-        "alpha": str(args.alpha), "terms": args.terms, "strategy": args.strategy,
-        "digits": args.digits,
-    })
     trace = synthesize(args.alpha, args.terms, args.strategy)
     if args.format == "json":
-        doc = cfg.echo()
+        doc = _echo(args)
         doc["degenerate"] = trace.degenerate
         doc["dimension"] = 1 if trace.degenerate == "H=G" else (0 if trace.degenerate else None)
         doc["steps"] = [
@@ -241,7 +251,7 @@ def _cmd_synth(args) -> int:
         ]
         _emit(_json_text(doc), args.out)
         return 0
-    lines = [_csv_comment(cfg)]
+    lines = [_csv_comment(args)]
     lines.append("i,l_i,window_lo,window_hi,P_num,P_den,gap_decimal\n")
     if trace.degenerate is not None:
         lines[0] = lines[0].rstrip("\n") + f" degenerate={trace.degenerate}\n"
@@ -260,20 +270,17 @@ def _cmd_dim(args) -> int:
         raise ValueError("levels cannot exceed terms")
     if args.alpha in (0, 1):
         raise ValueError("dimension report needs a target strictly between 0 and 1")
+    _require_precision(args.precision)
     carried = int(args.precision * math.log10(2))
     if args.digits > carried:
         raise ValueError(f"--digits {args.digits} exceeds the {carried} digits "
                          f"that --precision {args.precision} carries")
-    cfg = RunConfig("dim", {
-        "alpha": str(args.alpha), "terms": args.terms, "levels": args.levels,
-        "strategy": args.strategy, "precision": args.precision, "digits": args.digits,
-    })
     trace = synthesize(args.alpha, args.terms, args.strategy)
     seq = trace.sequence()
     report = dimension_report(seq, args.levels, args.precision)
     d = args.digits
     if args.format == "json":
-        doc = cfg.echo()
+        doc = _echo(args)
         doc["sequence"] = [_big(l) for l in report.sequence]
         doc["rows"] = [
             {
@@ -294,7 +301,7 @@ def _cmd_dim(args) -> int:
         doc["flagged_levels"] = report.flagged_levels
         _emit(_json_text(doc), args.out)
         return 0
-    lines = [_csv_comment(cfg)]
+    lines = [_csv_comment(args)]
     lines.append("n,alpha_n_num,alpha_n_den,d_n,lower_n,upper_n,T1,T2\n")
     for r in report.rows:
         lines.append(
@@ -307,13 +314,9 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = RunConfig("verify", {
-        "seq": args.seq.to_text(), "level": args.level, "group": args.group,
-        "seed": args.seed, "cap": args.cap,
-    })
     report = verify_level_action(args.seq, args.level, args.group, seed=args.seed,
                                  degree_cap=args.cap)
-    doc = cfg.echo()
+    doc = _echo(args)
     doc.update({
         "sequence": list(report.sequence), "level": report.level, "group": report.group,
         "expected": _int_text(report.expected), "measured": _int_text(report.measured),
@@ -326,12 +329,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = RunConfig("spectrum", {
-        "alpha": str(args.alpha), "seq": args.seq.to_text(), "max_den": args.max_den,
-        "horizon": args.horizon, "digits": args.digits,
-    })
     result = spectrum_sample(args.alpha, args.seq, args.max_den, args.horizon)
-    doc = cfg.echo()
+    doc = _echo(args)
     doc["entries"] = [
         {
             "value": e.text,
@@ -344,34 +343,22 @@ def _cmd_spectrum(args) -> int:
         }
         for e in result.entries
     ]
-    _emit(_json_text(doc), args.out)
     if args.svg:
         _emit(spectrum_svg(result) + "\n", args.svg)
+    _emit(_json_text(doc), args.out)
     return 0
 
 
 def _cmd_portrait(args) -> int:
-    cfg = RunConfig("portrait", {
-        "gen": args.gen, "seq": args.seq.to_text(), "depth": args.depth,
-    })
     portrait = Portrait.spinal(args.gen, args.seq, args.depth)
     if args.format == "json":
-        doc = cfg.echo()
+        doc = _echo(args)
         doc["labels"] = portrait.dump_records()
         _emit(_json_text(doc), args.out)
         return 0
-    text = _csv_comment(cfg) + "".join(line + "\n" for line in portrait.dump_lines())
+    text = _csv_comment(args) + "".join(line + "\n" for line in portrait.dump_lines())
     _emit(text, args.out)
     return 0
-
-
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "dim": _cmd_dim,
-    "verify": _cmd_verify,
-    "spectrum": _cmd_spectrum,
-    "portrait": _cmd_portrait,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -383,11 +370,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return BUDGET_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -125,6 +125,10 @@ def _pick_prime_rich(lo: int, hi: int) -> int:
     return lo + best
 
 
+# strategy name -> the pick of l from the admissible window lo..hi
+STRATEGIES = {"minimal": lambda lo, hi: lo, "prime-rich": _pick_prime_rich}
+
+
 def synthesize(alpha: Fraction, terms: int, strategy: str = "minimal") -> SynthesisTrace:
     """Choose ``terms`` valencies whose (l-2)/l products approach alpha.
 
@@ -138,7 +142,8 @@ def synthesize(alpha: Fraction, terms: int, strategy: str = "minimal") -> Synthe
     from fractions import Fraction
 
     alpha = Fraction(alpha)
-    if strategy not in ("minimal", "prime-rich"):
+    pick = STRATEGIES.get(strategy)
+    if pick is None:
         raise ValueError(f"unknown strategy {strategy!r}")
     if terms < 1:
         raise ValueError("need at least one term")
@@ -159,10 +164,7 @@ def synthesize(alpha: Fraction, terms: int, strategy: str = "minimal") -> Synthe
                 required=lo.bit_length(),
                 limit=_MAX_ENTRY_DIGITS,
             )
-        if strategy == "minimal":
-            l = lo
-        else:
-            l = _pick_prime_rich(lo, hi)
+        l = pick(lo, hi)
         p = p_prev * Fraction(l - 2, l)
         steps.append(SynthesisStep(i, l, lo, hi, p, p - alpha))
         p_prev = p

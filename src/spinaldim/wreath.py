@@ -35,6 +35,8 @@ if TYPE_CHECKING:
 _GUARD_BITS = 32
 # largest exact wreath order, in decimal digits, that exact_wreath_order multiplies out
 _EXACT_DIGIT_BUDGET = 100_000
+# default largest level degree that verify_level_action builds a chain for
+_DEGREE_CAP = 700
 
 
 def lnfact(n: int, precision_bits: int = 128) -> mpf:
@@ -240,9 +242,11 @@ def verify_level_action(
     n: int,
     which: str = "G",
     seed: int = 0,
-    degree_cap: int = 700,
+    degree_cap: int = _DEGREE_CAP,
 ) -> LevelActionReport:
     """Compare the generated level-n action against the closed-form order."""
+    if degree_cap < 1:
+        raise ValueError(f"degree cap must be at least 1, got {degree_cap}")
     if n < 1 or n > len(seq):
         raise ValueError(f"level {n} outside 1..{len(seq)}")
     degree = seq.level_size(n)

@@ -153,6 +153,63 @@ def test_usage_errors_exit_two():
         code, out, err = run_cli(*argv, "--digits", digits)
         assert code == 2 and out == ""
         assert f"spinaldim {argv[0]}: error: argument --digits: " in err
+    for cap in ("0", "-1"):
+        code, out, err = run_cli("verify", "--seq", "5,5", "--level", "1", "--cap", cap)
+        assert code == 2 and out == ""
+        assert err == f"error: degree cap must be at least 1, got {cap}\n"
+
+
+def test_dim_precision_below_the_floor_names_precision():
+    code, out, err = run_cli("dim", "--alpha", "1/2", "--terms", "3", "--levels", "3",
+                             "--precision", "0")
+    assert code == 2 and out == ""
+    assert err == "error: precision 0 below the 64-bit floor\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("synth --alpha 1/2 --terms 2", "--out"),
+    ("spectrum --alpha 1/2 --seq 5,7,9 --max-den 3 --horizon 1", "--out"),
+    ("spectrum --alpha 1/2 --seq 5,7,9 --max-den 3 --horizon 1", "--svg"),
+])
+def test_unwritable_output_path_exits_two(tmp_path, argv, flag):
+    target = tmp_path / "missing" / "doc.txt"
+    code, out, err = run_cli(*argv.split(), flag, str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+
+
+# every echoed flag at a value other than its default, in declaration order;
+# the routing flags (--format, --out, --svg, --timing) are set too and must not appear
+@pytest.mark.parametrize("argv, config", [
+    ("synth --alpha 1/3 --terms 4 --strategy prime-rich --digits 9",
+     {"alpha": "1/3", "terms": 4, "strategy": "prime-rich", "digits": 9}),
+    ("dim --alpha 1/3 --terms 4 --levels 3 --strategy prime-rich --precision 96 --digits 9",
+     {"alpha": "1/3", "terms": 4, "levels": 3, "strategy": "prime-rich", "precision": 96,
+      "digits": 9}),
+    ("verify --seq 7,7 --level 1 --group H --seed 80 --cap 650 --timing",
+     {"seq": "7,7", "level": 1, "group": "H", "seed": 80, "cap": 650}),
+    ("spectrum --alpha 1/3 --seq 5,7,9 --max-den 7 --horizon 2 --digits 9 --svg SVG",
+     {"alpha": "1/3", "seq": "5,7,9", "max_den": 7, "horizon": 2, "digits": 9}),
+    ("portrait --gen theta --seq 7,7,7 --depth 2",
+     {"gen": "theta", "seq": "7,7,7", "depth": 2}),
+])
+def test_every_result_flag_is_echoed_in_declaration_order(tmp_path, argv, config):
+    argv = argv.replace("SVG", str(tmp_path / "s.svg")).split()
+    target = tmp_path / "doc"
+    json_argv = argv if argv[0] in ("verify", "spectrum") else [*argv, "--format", "json"]
+    code, out, _ = run_cli(*json_argv, "--out", str(target))
+    assert code == 0 and out == ""
+    doc = json.loads(target.read_text(encoding="utf-8"))
+    assert doc["command"] == argv[0]
+    assert list(doc["config"].items()) == list(config.items())
+    if argv[0] in ("verify", "spectrum"):
+        return
+    code, out, _ = run_cli(*argv, "--out", str(target))
+    assert code == 0 and out == ""
+    opts = " ".join(f"{k}={v}" for k, v in config.items())
+    first = target.read_text(encoding="utf-8").splitlines()[0]
+    assert first == f"# spinaldim {cli.__version__} {argv[0]} {opts}"
 
 
 def test_dim_csv_shape():

@@ -120,7 +120,7 @@ def test_synthesize_validation():
         synthesize(Fraction(1, 2), 0)
     with pytest.raises(ValueError):
         synthesize(Fraction(3, 2), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown strategy 'fancy'"):
         synthesize(Fraction(1, 2), 3, "fancy")
 
 

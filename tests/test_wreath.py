@@ -199,6 +199,9 @@ def test_verify_level_action_degree_cap():
     assert err.value.required == 3125
     with pytest.raises(ValueError):
         verify_level_action(TreeSequence((5, 5)), 2, "X")
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match=f"degree cap must be at least 1, got {cap}"):
+            verify_level_action(TreeSequence((5, 5)), 1, "G", degree_cap=cap)
 
 
 def test_report_serialization():
