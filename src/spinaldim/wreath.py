@@ -11,10 +11,14 @@ dimension and envelope code divides, so each level reads its logs off
 prefix sums.  The logs of each distinct valency are evaluated and rounded
 once per pass; the sums of them are exact integers at a fixed binary scale.
 ``verify_level_action`` checks that a group's four generators really
-produce a group of that order at desk scale, using the stabilizer chain as
-the independent counter.  When the generators' labels prove the closed
-form is an upper bound, the chain is certified by reaching it instead of
-by a Schreier pass.
+produce a group of that order at desk scale.  In the branch domain, where
+the section group A_{l-s} of every level below the root is simple, it
+certifies the order level by level from one rigid witness per level (the
+rigid-stabilizer argument for branch groups: Bartholdi, Grigorchuk and
+Sunic, "Branch groups", 2003).  Everywhere else, and whenever a branch
+check fails, the stabilizer chain on the whole level is the independent
+counter: when the generators' labels prove the closed form is an upper
+bound, the chain is certified by reaching it instead of by a Schreier pass.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections import deque
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded, DegreeCapExceeded
+from .perms import Permutation
 from .portraits import GROUPS, Portrait
-from .schreier import StabilizerChain
+from .schreier import StabilizerChain, _inv, _mul
 from .trees import TreeSequence
 
 if TYPE_CHECKING:
@@ -224,6 +230,129 @@ def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
             raise ValueError(f"valency {l} < 5; the shifted side needs l - 2 >= 3")
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_order(pair: tuple[Permutation, Permutation], bound: int) -> int:
+    """The order of the group a label pair generates, by a chain of the pair's degree."""
+    return StabilizerChain(pair, order_bound=bound).order()
+
+
+@functools.lru_cache(maxsize=64)
+def _peel_words(pair: tuple[Permutation, Permutation]) -> tuple[tuple[int, ...], ...]:
+    """Shortest words in a label pair (a, b): one sending letter 2 to 1, one fixing 1 and moving 2.
+
+    A word lists indices into (a, b, a^-1, b^-1), its last letter acting
+    first.  The search runs over the images of the letters (1, 2), so it
+    visits at most l^2 states.  Both words exist when the pair generates an
+    alternating group on at least 4 letters that include 1 and 2.
+    """
+    gens = [g.images for g in pair] + [g.inverse().images for g in pair]
+    words = {(1, 2): ()}
+    queue = deque(words)
+    to_one = fix_one = None
+    while queue and (to_one is None or fix_one is None):
+        state = queue.popleft()
+        for i, g in enumerate(gens):
+            image = (g[state[0] - 1], g[state[1] - 1])
+            if image in words:
+                continue
+            words[image] = word = (i,) + words[state]
+            queue.append(image)
+            if to_one is None and image[1] == 1:
+                to_one = word
+            if fix_one is None and image[0] == 1:
+                fix_one = word
+    return to_one, fix_one
+
+
+def _peeled_witness(images: list[tuple[int, ...]],
+                    words: list[tuple[tuple[int, ...], ...]]) -> tuple[int, ...]:
+    """A level-k element meant to move only the block under v = (1, ..., 1, 2).
+
+    ``images`` are the level-k actions, 0-based, of the rooted pair (a, b)
+    and the spinal pair (z, p); ``words[t]`` are the ``_peel_words`` of the
+    label pair at the spine vertex 1^t, for t < k - 2.  c = [z, p] carries
+    one commutator label at each vertex 1^{i-1} 2.  Peel t conjugates p by
+    an r_t that fixes 1^t and acts there by a label fixing letter 1 and
+    moving letter 2, so [c, r_t p r_t^-1] drops the label at 1^t 2 and keeps
+    those below 1^{t+1}.  r_t is a word in q z q^-1 and q p q^-1 (in a and
+    b at the root), with q built the same way one level up so that it maps
+    1^{t-1} 2 to 1^t.
+    """
+    a, b, z, p = images
+    identity = tuple(range(len(a)))
+
+    def value(word, x, y):
+        letters = (x, y, _inv(x), _inv(y))
+        g = identity
+        for i in word:
+            g = _mul(g, letters[i])
+        return g
+
+    def conj(g, h):  # g h g^-1
+        return _mul(_mul(g, h), _inv(g))
+
+    c = _mul(conj(z, p), _inv(p))
+    q = identity
+    for t, (to_one, fix_one) in enumerate(words):
+        x, y = (a, b) if t == 0 else (z, p)
+        d = conj(conj(q, value(fix_one, x, y)), p)
+        c = _mul(conj(c, d), _inv(d))
+        q = conj(q, value(to_one, x, y))
+    return c
+
+
+def _branch_order(seq: TreeSequence, n: int, shift: int, portraits: list[Portrait]) -> int | None:
+    """|X_n| certified level by level from rigid witnesses, or None where that does not apply.
+
+    The portraits' labels must already pass ``labels_in_wreath_product``.
+    The domain is n >= 2, l_0 - s >= 4 and l_k - s >= 5 for 0 < k < n.
+    Level k takes the rooted pair at v = () for k = 1 and the spinal pair at
+    v = (1, ..., 1, 2) of level k - 1 otherwise, with l = l_{k-1}:
+
+    (a) the pair's labels at v generate A_{l-s} (a chain of degree l);
+    (b) the pair maps the block of level k under v onto itself by exactly
+        those labels;
+    (c) for k >= 2, the ``_peeled_witness`` c is nontrivial on that block
+        and the identity on every other point of level k.
+
+    Level 1 is all of A_{l-s} by (a) and (b).  Below it, c lies in the
+    kernel of X_k -> X_{k-1}, and the kernel's elements supported on the
+    block form a subgroup normalized by the stabilizer of v, which acts on
+    the block as A_{l-s}.  That group is simple, so the subgroup is all of
+    A_{l-s}; X_{k-1} is the full wreath product and moves v to every vertex
+    of the subtree, so the kernel holds A_{l-s} on each of its m'_{k-1}
+    blocks, the most the labels allow.  Each level multiplies the order by
+    the pair's order to the power m'_{k-1}.
+    """
+    valencies = seq.valencies[:n]
+    if n < 2 or valencies[0] - shift < 4 or any(l - shift < 5 for l in valencies[1:]):
+        return None
+    order = 1
+    blocks = 1  # m'_{k-1}, the blocks of level k inside the subtree
+    words = []  # the _peel_words of the pairs at (), (2,), (1, 2), ...
+    for k, l in enumerate(valencies, start=1):
+        v, gens = ((), slice(0, 2)) if k == 1 else ((1,) * (k - 2) + (2,), slice(2, 4))
+        pair = tuple(p.labels[v] for p in portraits[gens])
+        section = math.factorial(l - shift) // 2
+        if _pair_order(pair, section) != section:
+            return None
+        images = [tuple(x - 1 for x in p.level_permutation(k).images) for p in portraits]
+        start = (seq.vertex_index(v) - 1) * l
+        for g, label in zip(images[gens], pair):
+            if g[start:start + l] != tuple(start + y - 1 for y in label.images):
+                return None
+        if k >= 2:
+            c = _peeled_witness(images, words[:k - 2])
+            moved = [x for x, y in enumerate(c) if x != y]
+            if not moved or moved[0] < start or moved[-1] >= start + l:
+                return None
+        if k <= n - 2:
+            words.append(_peel_words(pair))
+        order *= section ** blocks
+        blocks *= l - shift
+    return order
+
+
 class LevelActionReport(NamedTuple):
     sequence: tuple[int, ...]
     level: int
@@ -244,7 +373,18 @@ def verify_level_action(
     seed: int = 0,
     degree_cap: int = _DEGREE_CAP,
 ) -> LevelActionReport:
-    """Compare the generated level-n action against the closed-form order."""
+    """Compare the generated level-n action against the closed-form order.
+
+    In the branch domain of ``_branch_order`` (n >= 2, l_0 - s >= 4 and
+    l_k - s >= 5 for 0 < k < n, with labels that pass
+    ``labels_in_wreath_product``) the order is certified level by level from
+    rigid witnesses, with certificate ``"branch"``.  Everywhere else, and
+    when a branch check fails, a stabilizer chain on the m_n points of
+    level n counts the order: ``"order-bound"`` when the labels prove the
+    closed form is an upper bound and the chain reaches it, ``"schreier"``
+    otherwise.  ``degree`` is m_n either way, and ``degree_cap`` applies to
+    it.
+    """
     if degree_cap < 1:
         raise ValueError(f"degree cap must be at least 1, got {degree_cap}")
     if n < 1 or n > len(seq):
@@ -262,10 +402,13 @@ def verify_level_action(
         _require_subgroup_side(seq, n)
     expected = exact_wreath_order(tuple(l - shift for l in seq.valencies[:n]))
     portraits = spinal_group_portraits(seq, n, which)
-    images = [p.level_permutation(n) for p in portraits]
     bound = expected if labels_in_wreath_product(portraits, which) else None
-    chain = StabilizerChain(images, seed=seed, order_bound=bound)
-    measured = chain.order()
+    measured = None if bound is None else _branch_order(seq, n, shift, portraits)
+    certificate = "branch"
+    if measured is None:
+        images = [p.level_permutation(n) for p in portraits]
+        chain = StabilizerChain(images, seed=seed, order_bound=bound)
+        measured, certificate = chain.order(), chain.certificate
     elapsed = (time.perf_counter() - start) * 1000.0
     return LevelActionReport(
         sequence=seq.valencies,
@@ -277,5 +420,5 @@ def verify_level_action(
         seed=seed,
         degree=degree,
         elapsed_ms=elapsed,
-        certificate=chain.certificate,
+        certificate=certificate,
     )

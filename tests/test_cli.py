@@ -60,8 +60,13 @@ def test_verify_match_exit_zero():
     doc = json.loads(out)
     assert doc["match"] is True
     assert doc["expected"] == "46656000000"
-    assert doc["certificate"] == "order-bound"
+    assert doc["certificate"] == "branch"
     assert doc["elapsed_ms"] is None
+    # level 1 still runs the chain, certified by the order bound
+    code, out, _ = run_cli("verify", "--seq", "5,5", "--level", "1", "--group", "G")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["measured"], doc["match"], doc["certificate"]) == ("60", True, "order-bound")
 
 
 def test_verify_h_group():
@@ -450,14 +455,14 @@ def test_json_text_matches_json_dumps():
     ("portrait --gen theta --seq 7,7,7 --depth 3 --format json",
      "fbb3932446dacd5930fab4abffdd250a710a5be44d4e7f622b1da25fa9c7edb0"),
     ("verify --seq 7,7 --level 2 --group H --seed 54",
-     "e091f4fe06ca77de7c010c8d965e271340e72ef544204d1198d705ef7d73e285"),
+     "40247f6e748924ed3337af21d182e89f3d3418422e66cd08c5c3cfe15a5932d9"),
     # degenerate synth traces, a G verify report and spectrum entries
     ("synth --alpha 1 --terms 3 --format json",
      "5289e894bee828280a1a7e8350dc34d2837443480515cb73f39879dcc2021d09"),
     ("synth --alpha 0 --terms 3",
      "5784209801ae196f8294124519a8370ee82297c65995768423a9aa4d7ad52445"),
     ("verify --seq 5,5,5 --level 3 --group G --seed 33",
-     "e5ad16d43c085aa76b2f6e922cce4106f9897759ba93d1e2b4442407277a7a57"),
+     "ab802e695b5a1e92247c64d3271b6627f805318a8130f8d787b5e677816903bf"),
     ("spectrum --alpha 1/2 --seq 5,7,9 --max-den 30 --horizon 3",
      "c10a202fc0cd2d98e4034e7cfdd230bf9e166b76938fd2f86ee8d31d5a3db932"),
 ])
@@ -472,6 +477,22 @@ def test_stdout_digest_pinned(argv, digest):
         assert code == 0
         got = out.encode()
     assert hashlib.sha256(got).hexdigest() == digest
+
+
+# the two pinned verify reports as the chain printed them, "order-bound"
+# certified, before the branch certificate took over their levels
+@pytest.mark.parametrize("argv, chain_digest", [
+    ("verify --seq 7,7 --level 2 --group H --seed 54",
+     "e091f4fe06ca77de7c010c8d965e271340e72ef544204d1198d705ef7d73e285"),
+    ("verify --seq 5,5,5 --level 3 --group G --seed 33",
+     "e5ad16d43c085aa76b2f6e922cce4106f9897759ba93d1e2b4442407277a7a57"),
+])
+def test_branch_report_differs_from_the_chain_report_only_in_certificate(argv, chain_digest):
+    code, out, _ = run_cli(*argv.split())
+    assert code == 0
+    chain_out = out.replace('"certificate": "branch"', '"certificate": "order-bound"', 1)
+    assert chain_out != out
+    assert hashlib.sha256(chain_out.encode()).hexdigest() == chain_digest
 
 
 def test_spectrum_gallery_script(tmp_path):

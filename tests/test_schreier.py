@@ -272,9 +272,10 @@ def test_both_sifts_cut_the_witness_list_at_the_same_level(monkeypatch):
 
 def test_cli_import_leaves_numpy_unloaded():
     # none of numpy, mpmath, dataclasses, inspect, fractions or decimal, after
-    # the import, after a verify certified by its order bound, or after one
-    # whose small Schreier pass is sifted in pure Python; every layer module
-    # still loads (perfbench/layers.py wraps them all)
+    # the import, after a verify certified by rigid witnesses, after one
+    # certified by its order bound, or after one whose small Schreier pass is
+    # sifted in pure Python; every layer module still loads
+    # (perfbench/layers.py wraps them all)
     layers = ("cli", "perms", "trees", "portraits", "schreier", "wreath", "dimension",
               "synthesis")
     unwanted = ("mpmath", "numpy", "dataclasses", "inspect", "fractions", "decimal")
@@ -288,6 +289,9 @@ def test_cli_import_leaves_numpy_unloaded():
         "rc = spinaldim.cli.main(['verify', '--seq', '7,7', '--level', '2'])\n"
         "report()\n"
         "assert rc == 0\n"
+        "rc = spinaldim.cli.main(['verify', '--seq', '5,4,5', '--level', '3'])\n"
+        "report()\n"
+        "assert rc == 0\n"
         "rc = spinaldim.cli.main(['verify', '--seq', '5,5,5', '--level', '3', '--group', 'H'])\n"
         "report()\n"
         "sys.exit(rc)\n"
@@ -297,9 +301,10 @@ def test_cli_import_leaves_numpy_unloaded():
                           text=True, timeout=60)
     # the (5,5,5) L3 H action is the known mismatch with the closed form
     assert proc.returncode == 3, proc.stderr
-    assert '"certificate": "order-bound"' in proc.stdout
-    assert '"certificate": "schreier"' in proc.stdout
-    assert proc.stderr.splitlines() == ["8", "8", "8"]
+    certificates = [line.split('"')[3] for line in proc.stdout.splitlines()
+                    if '"certificate"' in line]
+    assert certificates == ["branch", "order-bound", "schreier"]
+    assert proc.stderr.splitlines() == ["8", "8", "8", "8"]
 
 
 def _slow_mul(a, b):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinaldim import (
     BudgetExceeded,
@@ -18,11 +20,14 @@ from spinaldim import (
     verify_level_action,
 )
 from spinaldim.portraits import GROUPS
+from spinaldim.schreier import StabilizerChain
 from spinaldim.wreath import (
     _GUARD_BITS,
     LevelActionReport,
     LogOrderSums,
     _fixed,
+    _peel_words,
+    _peeled_witness,
     exact_wreath_order,
     labels_in_wreath_product,
     log_order_sums,
@@ -303,19 +308,105 @@ def test_h_mismatch_against_sympy(valencies, index):
     assert group.order() == closed // index
 
 
+def level_images(valencies, n, which):
+    seq = TreeSequence(valencies)
+    return [p.level_permutation(n) for p in spinal_group_portraits(seq, n, which)]
+
+
 def test_order_bound_certifies_every_seed_at_degree_125():
+    # verify takes the branch certificate here; the chain it replaced still
+    # reaches the order bound from every seed on the same level permutations
     seq = TreeSequence((5, 5, 5))
+    images = level_images((5, 5, 5), 3, "G")
+    expected = exact_wreath_order((5, 5, 5))
     for seed in range(20):
         r = verify_level_action(seq, 3, "G", seed=seed)
-        assert r.match, seed
-        assert r.certificate == "order-bound", seed
+        assert r.match and r.certificate == "branch", seed
+        chain = StabilizerChain(images, seed=seed, order_bound=expected)
+        assert chain.order() == expected, seed
+        assert chain.certificate == "order-bound", seed
 
 
 def test_degree_343_verify_uses_order_bound():
     r = verify_level_action(TreeSequence((7, 7, 7)), 3, "G")
     assert r.degree == 343
     assert r.match and r.expected == (math.factorial(7) // 2) ** (1 + 7 + 49)
-    assert r.certificate == "order-bound"
+    assert r.certificate == "branch"
+    chain = StabilizerChain(level_images((7, 7, 7), 3, "G"), order_bound=r.expected)
+    assert chain.order() == r.expected
+    assert chain.certificate == "order-bound"
+
+
+# in the branch domain: l_0 - s >= 4 and l_k - s >= 5 below the root
+BRANCH_CASES = [((7, 7), 2, "G"), ((9, 9), 2, "G"), ((11, 11), 2, "G"), ((5, 5, 5), 3, "G"),
+                ((7, 7), 2, "H"), ((9, 9), 2, "H"), ((4, 5, 5), 3, "G"), ((6, 7, 7), 3, "H")]
+
+
+@pytest.mark.parametrize("valencies, n, which", BRANCH_CASES)
+def test_branch_order_equals_the_chain_order(valencies, n, which):
+    r = verify_level_action(TreeSequence(valencies), n, which)
+    assert r.certificate == "branch"
+    assert r.degree == TreeSequence(valencies).level_size(n)
+    chain = StabilizerChain(level_images(valencies, n, which), order_bound=r.expected)
+    assert r.measured == chain.order() == r.expected
+    assert r.match
+
+
+@pytest.mark.parametrize("valencies, n, which", [((4, 5, 5), 3, "G"), ((7, 7), 2, "H")])
+def test_branch_order_against_sympy(valencies, n, which):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = combinatorics.PermutationGroup(
+        [combinatorics.Permutation([x - 1 for x in g.images])
+         for g in level_images(valencies, n, which)])
+    assert verify_level_action(TreeSequence(valencies), n, which).measured == group.order()
+
+
+# an A_3 or A_4 section below the root, or an A_3 at the root, keeps the chain
+@pytest.mark.parametrize("valencies, which", [((5, 4, 5), "G"), ((5, 7, 7), "H")])
+def test_out_of_domain_keeps_the_order_bound_chain(valencies, which):
+    r = verify_level_action(TreeSequence(valencies), 3, which)
+    assert r.match and r.certificate == "order-bound"
+
+
+@pytest.mark.parametrize("witness", ["identity", "first points", "last points"])
+def test_bad_witness_falls_back_to_the_chain(monkeypatch, witness):
+    import spinaldim.wreath as wreath
+
+    peeled = wreath._peeled_witness
+
+    def fake(images, words):
+        c = list(peeled(images, words))
+        if witness == "identity":
+            return tuple(range(len(c)))
+        # also swap two points outside the block under (1, ..., 1, 2)
+        i, j = (0, 1) if witness == "first points" else (len(c) - 2, len(c) - 1)
+        c[i], c[j] = c[j], c[i]
+        return tuple(c)
+
+    monkeypatch.setattr(wreath, "_peeled_witness", fake)
+    for valencies, n, which in [((7, 7), 2, "G"), ((5, 5, 5), 3, "G"), ((7, 7), 2, "H")]:
+        r = verify_level_action(TreeSequence(valencies), n, which)
+        assert r.certificate == "order-bound", valencies
+        assert r.match, valencies
+
+
+# in-domain G sequences: l_0 >= 4, then valencies >= 5
+@given(st.integers(4, 9), st.lists(st.integers(5, 9), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_peeled_witness_moves_only_the_block_under_the_spine(root, below):
+    valencies = (root, *below)
+    seq = TreeSequence(valencies)
+    n = len(valencies)
+    portraits = spinal_group_portraits(seq, n, "G")
+    pairs = [tuple(p.labels[()] for p in portraits[:2])]
+    pairs += [tuple(p.labels[(1,) * (k - 1) + (2,)] for p in portraits[2:]) for k in range(1, n)]
+    words = [_peel_words(pair) for pair in pairs[:n - 2]]
+    images = [tuple(x - 1 for x in p.level_permutation(n).images) for p in portraits]
+    c = _peeled_witness(images, words)
+    v = (1,) * (n - 2) + (2,)
+    start = (seq.vertex_index(v) - 1) * valencies[-1]
+    moved = [x for x, y in enumerate(c) if x != y]
+    assert moved and start <= moved[0] and moved[-1] < start + valencies[-1]
 
 
 @pytest.mark.parametrize("valencies", [(5,), (5, 5, 5, 5, 5, 5, 5, 5), (5, 13, 133, 17293),
