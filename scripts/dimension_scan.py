@@ -40,8 +40,7 @@ def emit_block(tag, seq, levels, precision, digits=12):
             f"{row.n},{to_str(_alpha(row.alpha), digits)},{to_str(row.d._mpf_, digits)},"
             f"{to_str(env.lower._mpf_, digits)},{to_str(env.upper._mpf_, digits)}"
         )
-    print(f"# liminf_estimate={to_str(report.liminf_estimate._mpf_, digits)} "
-          f"diverged={report.diverged}")
+    print(f"# liminf_estimate={to_str(report.liminf_estimate._mpf_, digits)}")
     print()
 
 

@@ -16,10 +16,11 @@ import sys
 from fractions import Fraction
 
 from spinaldim import BudgetExceeded, spectrum_sample, spectrum_svg, synthesize
-from spinaldim.cli import BUDGET_ERROR
+from spinaldim.cli import BUDGET_ERROR, _single_blas_thread
 
 
 def main(argv: list[str] | None = None) -> int:
+    _single_blas_thread()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="spectrum_out")
     parser.add_argument("--terms", type=int, default=4)

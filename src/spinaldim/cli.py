@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -297,7 +298,6 @@ def _cmd_dim(args) -> int:
         ]
         doc["liminf_estimate"] = _nstr(report.liminf_estimate, d)
         doc["limsup_estimate"] = _nstr(report.limsup_estimate, d)
-        doc["diverged"] = report.diverged
         doc["flagged_levels"] = report.flagged_levels
         _emit(_json_text(doc), args.out)
         return 0
@@ -361,9 +361,20 @@ def _cmd_portrait(args) -> int:
     return 0
 
 
+def _single_blas_thread() -> None:
+    """Have any numpy loaded later start one BLAS thread, unless the user chose a count.
+
+    Only the prime-rich sieve and the matrix Schreier pass load numpy, and
+    neither calls BLAS, so a second OpenBLAS thread only spins on a spare CPU.
+    Programs call this at start-up; the library writes no environment variable.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
 def main(argv: list[str] | None = None) -> int:
     # synthesized sequences produce very large exact integers
     sys.set_int_max_str_digits(2_000_000)
+    _single_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -101,7 +101,6 @@ class DimensionReport(NamedTuple):
     rows: list[DimensionRow]
     liminf_estimate: mpf
     limsup_estimate: mpf
-    diverged: bool
     flagged_levels: list[int]  # levels whose envelope row fails the sandwich check
 
 
@@ -168,26 +167,18 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
 
 def dimension_report(seq: TreeSequence, levels: int, precision_bits: int = 128) -> DimensionReport:
     """Rows for n = 1..levels plus tail liminf/limsup estimates."""
-    import mpmath
-
     if levels < 1:
         raise ValueError("need at least one level")
     if levels > len(seq):
         raise ValueError(f"levels {levels} exceed sequence length {len(seq)}")
     rows = [partial_dimension(seq, n, precision_bits) for n in range(1, levels + 1)]
-    tail = rows[len(rows) // 2 :]
-    ds = [r.d for r in tail]
-    liminf_est = min(ds)
-    limsup_est = max(ds)
-    with mpmath.workprec(precision_bits + _GUARD_BITS):
-        diverged = bool(limsup_est - liminf_est > mpmath.mpf("1e-6"))
+    tail = [r.d for r in rows[len(rows) // 2 :]]
     return DimensionReport(
         sequence=seq.valencies[:levels],
         precision_bits=precision_bits,
         rows=rows,
-        liminf_estimate=liminf_est,
-        limsup_estimate=limsup_est,
-        diverged=diverged,
+        liminf_estimate=min(tail),
+        limsup_estimate=max(tail),
         flagged_levels=[r.n for r in rows if not r.envelope.sandwich_ok],
     )
 

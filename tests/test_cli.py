@@ -237,7 +237,8 @@ def test_dim_json_fields():
     assert len(doc["rows"]) == 4
     row = doc["rows"][0]
     assert set(row) == {"n", "alpha_n", "d_n", "lower_n", "upper_n", "ratio_n", "T1", "T2"}
-    assert "liminf_estimate" in doc and "diverged" in doc
+    assert set(doc) == {"tool", "version", "command", "config", "sequence", "rows",
+                        "liminf_estimate", "limsup_estimate", "flagged_levels"}
 
 
 def test_spectrum_json_and_svg(tmp_path):
@@ -429,20 +430,20 @@ def test_json_text_matches_json_dumps():
      "c668069454c8be2548ba5149cd89e8da92bfb7c49ed6cd131688048f86bd8f70"),
     ("scripts/dimension_scan.py --levels 40 --precision 256 --constants 5,7,9,27 "
      "--targets 0.5,0.25,1/3",
-     "fae84de1030c26a396a4190411ccc36f1b6936f71c6ca60d56f65b16eb63be4e"),
+     "fe744c1ccfff09c943e096fbdd5f3c6e5f3e4a62391284704f1a55924ca511ab"),
     # the deep-tree benchmark op: 200-level constant reports at the default 128 bits
     ("scripts/dimension_scan.py --levels 200 --constants 5,12 --targets=",
-     "492897f7aaf2e7ccad211aec9a133f21d29fa0fcc3e0d9881d9751c9f896c279"),
+     "6e99014287dcc2770807319cf45acea165fae4a8e64fa7c3cfe4419604ba46eb"),
     # the other six deep-tree pool valencies
     ("scripts/dimension_scan.py --levels 200 --constants 6,11,7,10,8,9 --targets=",
-     "5eb82fceb9f3faccefc839f945d0f92c8f59299a66a43d8a7b9dd9982bb70a12"),
+     "f52ac3f90df11cc287511911e6862db5406fdf64798aff8882c522417c3eea68"),
     # entries above the fast-conversion threshold, in every printing path
     ("synth --alpha 1/3 --terms 16 --format json",
      "ad06c519aca39471bc7f72f22a7b7610ed6e14e49df62db3122ae04823ba91d7"),
     ("synth --alpha 1/10 --terms 18",
      "08093cfb86396d3dc4dc50562adc9889cc2c513f91ce1a0e19009bba23e80399"),
     ("dim --alpha 1/2 --terms 15 --levels 15 --format json",
-     "1a760fd4b124c0ee5654ec6261691b3455d3c1018e4c3dd3615dd35e6dac44d1"),
+     "8712a21e244e092bf33c36cf408920fa8b768fa65a7b1bb9c99ec3373d8ae11b"),
     ("dim --alpha 1/2 --terms 15 --levels 15 --precision 256",
      "cf0ac3c0af1b426d7f148f2ef35d16c37e414b7cd2d1e1734cf78607bdfe3622"),
     ("spectrum --alpha 1/3 --seq 8,32,32,32,32,32 --max-den 120 --horizon 6",
@@ -493,6 +494,34 @@ def test_branch_report_differs_from_the_chain_report_only_in_certificate(argv, c
     chain_out = out.replace('"certificate": "branch"', '"certificate": "order-bound"', 1)
     assert chain_out != out
     assert hashlib.sha256(chain_out.encode()).hexdigest() == chain_digest
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_main_asks_for_one_blas_thread_unless_set(monkeypatch, preset, expected):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")  # restored after the test
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    code, _, _ = run_cli("synth", "--alpha", "1/2", "--terms", "1")
+    assert code == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file() or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/status and two CPUs for a second BLAS thread")
+def test_prime_rich_dim_loads_numpy_with_one_thread():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = (
+        "import sys, spinaldim.cli\n"
+        "rc = spinaldim.cli.main(['dim', '--alpha', '1/10', '--terms', '3', '--levels', '3',\n"
+        "                         '--strategy', 'prime-rich'])\n"
+        "assert rc == 0 and 'numpy' in sys.modules\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(*[line for line in fh if line.startswith('Threads:')], file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stderr.split() == ["Threads:", "1"]
 
 
 def test_spectrum_gallery_script(tmp_path):

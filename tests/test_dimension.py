@@ -116,7 +116,7 @@ def test_dimension_trend_synthesized():
 def test_report_estimates_converged_case():
     seq = synthesize(Fraction(1, 2), 10).sequence()
     report = dimension_report(seq, 10)
-    assert not report.diverged
+    assert report.limsup_estimate - report.liminf_estimate < 1e-12
     assert abs(report.liminf_estimate - mpmath.mpf(0.5)) < 1e-6
     assert report.liminf_estimate <= report.limsup_estimate
 
@@ -133,9 +133,12 @@ def test_report_flags_no_level_whose_sandwich_holds(seq, levels):
     assert report.flagged_levels == []
 
 
-def test_report_flags_divergence_for_drifting_constant_tree():
+def test_report_tail_spread_of_drifting_constant_tree():
+    # d_n of a constant tree falls toward 0, so the tail n = 7..12 spans d_12..d_7
     report = dimension_report(TreeSequence((5,) * 12), 12)
-    assert report.diverged
+    assert report.limsup_estimate == report.rows[6].d
+    assert report.liminf_estimate == report.rows[11].d
+    assert report.limsup_estimate - report.liminf_estimate > 0.01
 
 
 def test_chain_rule_exact_telescoping():
