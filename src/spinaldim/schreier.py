@@ -13,14 +13,12 @@ regardless of what the randomized phase did:
   Any witness it finds is fed back in and the pass is rerun until it
   comes back clean.
 
-The verification pass is the expensive part.  A small pass, whose
-Schreier generators would fill at most ``_LOOP_SIFT_BYTES`` of int32
-matrices, sends them one at a time through the same ``_sift`` walk that
-adding a generator uses; a larger one is batched with numpy, one matrix
-holding every Schreier generator of a level at once, and pays the numpy
-import only then.  Both return the same witnesses in the same order, and
-both refuse with :class:`~spinaldim.errors.BudgetExceeded` at the first
-level whose matrix would exceed ``_VERIFY_BYTES_LIMIT``.
+The verification pass is the expensive part.  It sends the Schreier
+generators of each level one at a time through the same ``_sift`` walk
+that adding a generator uses, starting at that level.  It refuses with
+:class:`~spinaldim.errors.BudgetExceeded` at the first level whose work,
+4 x generators x orbit x degree (the bytes of its Schreier generators as
+int32 images), would exceed ``_VERIFY_BYTES_LIMIT``.
 
 Internally permutations are 0-based tuples; the public API speaks
 :class:`~spinaldim.perms.Permutation`.  Composition gathers the images in
@@ -30,8 +28,7 @@ new generator has produced a new point.  Each level stores only the
 inverses u_b^-1 of its coset representatives, since sifting reads nothing
 else; every strong generator keeps its inverse beside it, so each new
 u_b^-1 is one composition.  The verification pass derives the forward u_b
-of the level it is checking by inverting those rows (with ``argsort`` in
-the numpy batch).
+of the level it is checking by inverting those rows.
 """
 
 from __future__ import annotations
@@ -46,13 +43,8 @@ from .perms import Permutation
 _EXIT_ROUNDS = 16
 _MAX_WITNESSES_PER_PASS = 64
 _INT32_BYTES = 4
-# largest (generators x orbit x degree) int32 matrix the verification pass builds
+# largest work, 4 x generators x orbit x degree, of one level of the verification pass
 _VERIFY_BYTES_LIMIT = 1 << 30
-# measured crossover on a 2-vCPU VM: the pure-Python sift takes 0.1-0.5 us per
-# matrix entry and ties numpy plus its 0.12-0.18 s import between (7,7) L2 G
-# without a bound (0.52M entries: 0.24 s vs 0.11 s) and (9,5,5) L3 H (1.16M
-# entries: 0.25 s vs 0.09 s), so passes of up to 2**20 entries take the loop
-_LOOP_SIFT_BYTES = 1 << 22
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -161,9 +153,12 @@ class StabilizerChain:
                 f"chain order {self.order()} exceeds the claimed bound {order_bound}"
             )
 
-    def _sift(self, g: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """Reduce g through the chain; returns (residue, stuck_level)."""
-        for i, lv in enumerate(self._levels):
+    def _sift(self, g: tuple[int, ...], start: int = 0) -> tuple[tuple[int, ...], int]:
+        """Reduce g through the chain from level ``start``; returns (residue, stuck_level).
+
+        g must fix the base points of the levels above ``start``.
+        """
+        for i, lv in enumerate(self._levels[start:], start):
             b = g[lv.base]
             if b == lv.base:
                 continue
@@ -267,37 +262,23 @@ class StabilizerChain:
         sifted through the whole chain, stopping after the first level that
         brings the count to ``_MAX_WITNESSES_PER_PASS``.  An empty list
         proves the chain exact: by Schreier's lemma each stabilizer is then
-        generated by the next level's strong generators.
-
-        A pass whose levels would fill at most ``_LOOP_SIFT_BYTES`` of int32
-        matrices in all sends one generator at a time through ``_sift``;
-        a larger one is batched with numpy.  Both give the same list, and
-        both refuse a level whose matrix would exceed
-        ``_VERIFY_BYTES_LIMIT``.
+        generated by the next level's strong generators.  A level whose work,
+        4 x generators x orbit x degree, exceeds ``_VERIFY_BYTES_LIMIT`` is
+        refused before it is sifted.
         """
-        deg = self.degree
-        work = []
-        for i, lv in enumerate(self._levels):
-            gens = [g for g, _ in self._pairs_at(i)]
-            work.append((gens, len(gens) * len(lv.inv_transversal) * deg * _INT32_BYTES))
-        if sum(required for _, required in work) <= _LOOP_SIFT_BYTES:
-            sift = self._loop_sift
-        else:
-            sift = self._numpy_sift()
-
         witnesses: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
-        for i, (gens, required) in enumerate(work):
-            if not gens:
-                continue
+        for i, lv in enumerate(self._levels):
+            gens = [g for g, _ in self._pairs_at(i)]
+            required = len(gens) * len(lv.inv_transversal) * self.degree * _INT32_BYTES
             if required > _VERIFY_BYTES_LIMIT:
                 raise BudgetExceeded(
-                    f"Schreier verification at base level {i} needs a {required}-byte "
-                    f"matrix (limit {_VERIFY_BYTES_LIMIT})",
+                    f"Schreier verification at base level {i} needs work {required} "
+                    f"(4 x generators x orbit x degree; limit {_VERIFY_BYTES_LIMIT})",
                     required=required,
                     limit=_VERIFY_BYTES_LIMIT,
                 )
-            for w in sift(i, gens):
+            for w in self._loop_sift(i, gens):
                 if w not in seen:
                     seen.add(w)
                     witnesses.append(w)
@@ -308,11 +289,11 @@ class StabilizerChain:
     def _loop_sift(self, i: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Level i's nonidentity residues, each Schreier generator through ``_sift``.
 
-        Generators are taken s-major over the sorted orbit points, the row
-        order of the numpy batch.  s and u_a fix the bases of levels 0..i-1,
-        so the walk starts at level i; an identity residue comes back from
-        the last level and is dropped.  Residues stuck at each lower level
-        come in level order, then the full-sift ones.
+        Generators are taken s-major over the sorted orbit points.  s and u_a
+        fix the bases of levels 0..i-1, so the walk starts at level i; an
+        identity residue comes back from the last level and is dropped.
+        Residues stuck at each lower level come in level order, then the
+        full-sift ones.
         """
         orbit = self._levels[i].inv_transversal
         identity = self._identity
@@ -320,51 +301,7 @@ class StabilizerChain:
         us = [_inv(orbit[a]) for a in sorted(orbit)]
         for s in gens:
             for u in us:
-                residue, level = self._sift(_mul(s, u))
+                residue, level = self._sift(_mul(s, u), i)
                 if residue != identity:
                     stuck[level].append(residue)
         return [g for rows in stuck for g in rows]
-
-    def _numpy_sift(self):
-        """A level sift like ``_loop_sift``, batched: one int32 row per generator."""
-        import numpy as np
-
-        deg = self.degree
-        idrow = np.arange(deg, dtype=np.int32)
-        levels = self._levels
-        pos_l, uinv_l = [], []
-        for lv in levels:
-            pts = sorted(lv.inv_transversal)
-            pos = np.full(deg, -1, dtype=np.int32)
-            pos[pts] = np.arange(len(pts), dtype=np.int32)
-            pos_l.append(pos)
-            uinv_l.append(np.array([lv.inv_transversal[p] for p in pts], dtype=np.int32))
-
-        def sift(i: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-            out: list[tuple[int, ...]] = []
-            pos_i, uinv_i = pos_l[i], uinv_l[i]
-            s_stack = np.array(gens, dtype=np.int32)
-            # row k of uinv_i is u^-1 for one orbit point, so argsort inverts it back to u
-            su = s_stack[:, np.argsort(uinv_i, axis=1)].reshape(-1, deg)
-            sel = pos_i[su[:, levels[i].base]]
-            w = np.take(uinv_i, sel[:, None] * deg + su)
-            w = w[~(w == idrow).all(axis=1)]
-            for j in range(i + 1, len(levels)):
-                if w.size == 0:
-                    break
-                sel = pos_l[j][w[:, levels[j].base]]
-                bad = sel < 0
-                if bad.any():
-                    out.extend(map(tuple, w[bad].tolist()))
-                    w = w[~bad]
-                    sel = sel[~bad]
-                    if w.size == 0:
-                        break
-                w = np.take(uinv_l[j], sel[:, None] * deg + w)
-                done = (w == idrow).all(axis=1)
-                if done.any():
-                    w = w[~done]
-            out.extend(map(tuple, w.tolist()))
-            return out
-
-        return sift

@@ -11,14 +11,17 @@ dimension and envelope code divides, so each level reads its logs off
 prefix sums.  The logs of each distinct valency are evaluated and rounded
 once per pass; the sums of them are exact integers at a fixed binary scale.
 ``verify_level_action`` checks that a group's four generators really
-produce a group of that order at desk scale.  In the branch domain, where
-the section group A_{l-s} of every level below the root is simple, it
-certifies the order level by level from one rigid witness per level (the
-rigid-stabilizer argument for branch groups: Bartholdi, Grigorchuk and
-Sunic, "Branch groups", 2003).  Everywhere else, and whenever a branch
-check fails, the stabilizer chain on the whole level is the independent
-counter: when the generators' labels prove the closed form is an upper
-bound, the chain is certified by reaching it instead of by a Schreier pass.
+produce a group of that order at desk scale.  When their labels prove the
+closed form is an upper bound, the group preserves the subtree of letters
+<= l_i - s and acts on it faithfully, so the order is counted there, on
+m'_n points, as G's construction over the valencies l_i - s.  In the
+branch domain, where the section group A_{l-s} of every level below the
+root is simple, it is certified level by level from one rigid witness per
+level (the rigid-stabilizer argument for branch groups: Bartholdi,
+Grigorchuk and Sunic, "Branch groups", 2003).  Everywhere else, and
+whenever a branch check fails, a stabilizer chain on the subtree's level
+is the independent counter, certified by reaching the bound or else by a
+Schreier pass.  Labels that prove no bound get a chain on the whole level.
 """
 
 from __future__ import annotations
@@ -301,39 +304,55 @@ def _peeled_witness(images: list[tuple[int, ...]],
     return c
 
 
-def _branch_order(seq: TreeSequence, n: int, shift: int, portraits: list[Portrait]) -> int | None:
+def _on_subtree(portraits: list[Portrait], shift: int) -> list[Portrait]:
+    """The portraits on the subtree of letters <= l_i - s, as portraits over (l_i - s).
+
+    Labels that pass ``labels_in_wreath_product`` sit on that subtree and
+    fix every letter above l - s, so the subtree is invariant, each label
+    keeps its first l - s images, and an element trivial on the subtree is
+    trivial: the restriction is faithful, with the same level orders.
+    """
+    depth = portraits[0].depth
+    sub = TreeSequence(l - shift for l in portraits[0].seq.valencies[:depth])
+    return [Portrait(sub, depth, {v: Permutation(perm.images[:perm.degree - shift])
+                                  for v, perm in p.labels.items()})
+            for p in portraits]
+
+
+def _branch_order(portraits: list[Portrait], n: int) -> int | None:
     """|X_n| certified level by level from rigid witnesses, or None where that does not apply.
 
-    The portraits' labels must already pass ``labels_in_wreath_product``.
-    The domain is n >= 2, l_0 - s >= 4 and l_k - s >= 5 for 0 < k < n.
-    Level k takes the rooted pair at v = () for k = 1 and the spinal pair at
+    The portraits come from ``_on_subtree`` and their labels are even.  The
+    domain is n >= 2, l_0 >= 4 and l_k >= 5 for 0 < k < n.  Level k takes
+    the rooted pair at v = () for k = 1 and the spinal pair at
     v = (1, ..., 1, 2) of level k - 1 otherwise, with l = l_{k-1}:
 
-    (a) the pair's labels at v generate A_{l-s} (a chain of degree l);
+    (a) the pair's labels at v generate A_l (a chain of degree l);
     (b) the pair maps the block of level k under v onto itself by exactly
         those labels;
     (c) for k >= 2, the ``_peeled_witness`` c is nontrivial on that block
         and the identity on every other point of level k.
 
-    Level 1 is all of A_{l-s} by (a) and (b).  Below it, c lies in the
-    kernel of X_k -> X_{k-1}, and the kernel's elements supported on the
-    block form a subgroup normalized by the stabilizer of v, which acts on
-    the block as A_{l-s}.  That group is simple, so the subgroup is all of
-    A_{l-s}; X_{k-1} is the full wreath product and moves v to every vertex
-    of the subtree, so the kernel holds A_{l-s} on each of its m'_{k-1}
-    blocks, the most the labels allow.  Each level multiplies the order by
-    the pair's order to the power m'_{k-1}.
+    Level 1 is all of A_l by (a) and (b).  Below it, c lies in the kernel
+    of X_k -> X_{k-1}, and the kernel's elements supported on the block
+    form a subgroup normalized by the stabilizer of v, which acts on the
+    block as A_l.  That group is simple, so the subgroup is all of A_l;
+    X_{k-1} is the full wreath product and moves v to every vertex, so the
+    kernel holds A_l on each of its m_{k-1} blocks, the most the labels
+    allow.  Each level multiplies the order by the pair's order to the
+    power m_{k-1}.
     """
+    seq = portraits[0].seq
     valencies = seq.valencies[:n]
-    if n < 2 or valencies[0] - shift < 4 or any(l - shift < 5 for l in valencies[1:]):
+    if n < 2 or valencies[0] < 4 or any(l < 5 for l in valencies[1:]):
         return None
     order = 1
-    blocks = 1  # m'_{k-1}, the blocks of level k inside the subtree
+    blocks = 1  # m_{k-1}, the blocks of level k
     words = []  # the _peel_words of the pairs at (), (2,), (1, 2), ...
     for k, l in enumerate(valencies, start=1):
         v, gens = ((), slice(0, 2)) if k == 1 else ((1,) * (k - 2) + (2,), slice(2, 4))
         pair = tuple(p.labels[v] for p in portraits[gens])
-        section = math.factorial(l - shift) // 2
+        section = math.factorial(l) // 2
         if _pair_order(pair, section) != section:
             return None
         images = [tuple(x - 1 for x in p.level_permutation(k).images) for p in portraits]
@@ -349,7 +368,7 @@ def _branch_order(seq: TreeSequence, n: int, shift: int, portraits: list[Portrai
         if k <= n - 2:
             words.append(_peel_words(pair))
         order *= section ** blocks
-        blocks *= l - shift
+        blocks *= l
     return order
 
 
@@ -375,15 +394,15 @@ def verify_level_action(
 ) -> LevelActionReport:
     """Compare the generated level-n action against the closed-form order.
 
-    In the branch domain of ``_branch_order`` (n >= 2, l_0 - s >= 4 and
-    l_k - s >= 5 for 0 < k < n, with labels that pass
-    ``labels_in_wreath_product``) the order is certified level by level from
-    rigid witnesses, with certificate ``"branch"``.  Everywhere else, and
-    when a branch check fails, a stabilizer chain on the m_n points of
-    level n counts the order: ``"order-bound"`` when the labels prove the
-    closed form is an upper bound and the chain reaches it, ``"schreier"``
-    otherwise.  ``degree`` is m_n either way, and ``degree_cap`` applies to
-    it.
+    When the labels pass ``labels_in_wreath_product``, the closed form bounds
+    the order, which is counted on the m'_n points of their subtree
+    (``_on_subtree``): in the branch domain of ``_branch_order`` (n >= 2,
+    l_0 - s >= 4 and l_k - s >= 5 for 0 < k < n) from rigid witnesses,
+    certificate ``"branch"``; otherwise, or when a branch check fails, by a
+    chain, ``"order-bound"`` when it reaches the bound and ``"schreier"``
+    when an exhaustive pass certifies less.  Other labels get a
+    ``"schreier"`` chain on all m_n points.  ``degree`` is m_n either way,
+    and ``degree_cap`` applies to it.
     """
     if degree_cap < 1:
         raise ValueError(f"degree cap must be at least 1, got {degree_cap}")
@@ -402,8 +421,11 @@ def verify_level_action(
         _require_subgroup_side(seq, n)
     expected = exact_wreath_order(tuple(l - shift for l in seq.valencies[:n]))
     portraits = spinal_group_portraits(seq, n, which)
-    bound = expected if labels_in_wreath_product(portraits, which) else None
-    measured = None if bound is None else _branch_order(seq, n, shift, portraits)
+    bound = measured = None
+    if labels_in_wreath_product(portraits, which):
+        bound = expected
+        portraits = _on_subtree(portraits, shift)
+        measured = _branch_order(portraits, n)
     certificate = "branch"
     if measured is None:
         images = [p.level_permutation(n) for p in portraits]

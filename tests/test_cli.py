@@ -121,6 +121,19 @@ def test_verify_mismatch_reports_schreier_certificate():
     assert doc["certificate"] == "schreier"
 
 
+# a valency 4 twice below the root: A_4 is not perfect, so G falls short of
+# its closed form too, by exactly 1/3
+@pytest.mark.parametrize("seq", ["4,4,4", "5,4,4", "7,4,4"])
+def test_verify_g_with_a_repeated_valency_4_exits_three(seq):
+    code, out, _ = run_cli("verify", "--seq", seq, "--level", "3", "--group", "G")
+    assert code == 3
+    doc = json.loads(out)
+    assert int(doc["measured"]) == int(doc["expected"]) // 3
+    assert int(doc["expected"]) % 3 == 0
+    assert doc["certificate"] == "schreier"
+    assert doc["match"] is False
+
+
 def test_verify_mismatch_exit_three(monkeypatch):
     import spinaldim.cli as cli_mod
     from spinaldim.wreath import LevelActionReport

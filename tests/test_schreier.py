@@ -171,18 +171,6 @@ def test_verify_pass_refuses_above_byte_budget(monkeypatch):
     assert StabilizerChain([tau, sigma], order_bound=math.factorial(9) // 2).order() == 181440
 
 
-def test_verify_pass_refuses_above_byte_budget_on_the_numpy_sift(monkeypatch):
-    import spinaldim.schreier as schreier
-
-    monkeypatch.setattr(schreier, "_LOOP_SIFT_BYTES", 0)
-    monkeypatch.setattr(schreier, "_VERIFY_BYTES_LIMIT", 1000)
-    tau, sigma = alt_generators(9)
-    with pytest.raises(BudgetExceeded) as err:
-        StabilizerChain([tau, sigma])
-    assert err.value.limit == 1000
-    assert err.value.required > 1000
-
-
 def _loop_verify_pass(chain):
     """Reference pass: every Schreier generator u_{s(b)}^-1 s u_b, sifted one by one."""
     residues = set()
@@ -207,44 +195,36 @@ def _loop_verify_pass(chain):
 ])
 def test_verify_pass_matches_loop_reference(gens, order, monkeypatch):
     # with no randomized fill the chain grows only from the witnesses the
-    # pass returns, which must be exactly the loop's residues.  On every pass
-    # the pure-Python and numpy sifts return the same list, order included,
-    # whole or cut at the witness cap.  The chain is grown twice: with the
-    # crossover at 0 (numpy sift) and at a huge value (pure-Python sift).
+    # pass returns, which must be exactly the reference's residues.  On every
+    # pass the list cut at the witness cap is a prefix of the whole one.
     import spinaldim.schreier as schreier
 
     monkeypatch.setattr(StabilizerChain, "_randomized_fill", lambda self: None)
     verify_pass = StabilizerChain._verify_pass
-    huge = 1 << 62
+    passes = []
 
-    def sifted(chain, crossover, cap):
-        monkeypatch.setattr(schreier, "_LOOP_SIFT_BYTES", crossover)
+    def sifted(chain, cap):
         monkeypatch.setattr(schreier, "_MAX_WITNESSES_PER_PASS", cap)
         return verify_pass(chain)
 
-    for crossover in (0, huge):
-        passes = []
+    def checked(self):
+        full = sifted(self, 1 << 62)
+        capped = sifted(self, 64)
+        assert capped == full[:len(capped)] and (len(capped) >= 64 or capped == full)
+        assert len(set(full)) == len(full)
+        assert set(full) == _loop_verify_pass(self)
+        passes.append(len(full))
+        return full
 
-        def checked(self, crossover=crossover, passes=passes):
-            full = sifted(self, huge, huge)
-            assert sifted(self, 0, huge) == full
-            capped = sifted(self, huge, 64)
-            assert sifted(self, 0, 64) == capped
-            assert capped == full[:len(capped)] and (len(capped) >= 64 or capped == full)
-            assert len(set(full)) == len(full)
-            assert set(full) == _loop_verify_pass(self)
-            passes.append(len(full))
-            return sifted(self, crossover, huge)
-
-        monkeypatch.setattr(StabilizerChain, "_verify_pass", checked)
-        chain = StabilizerChain(gens)
-        assert passes[0] > 0 and passes[-1] == 0
-        assert chain.order() == order
+    monkeypatch.setattr(StabilizerChain, "_verify_pass", checked)
+    chain = StabilizerChain(gens)
+    assert passes[0] > 0 and passes[-1] == 0
+    assert chain.order() == order
 
 
-def test_both_sifts_cut_the_witness_list_at_the_same_level(monkeypatch):
+def test_verify_pass_cuts_the_witness_list_after_the_capping_level(monkeypatch):
     # (7,5,6) L3 H grown without a fill finds 71 witnesses in its first pass;
-    # both sifts stop after the level that reaches 64, with the same 68
+    # the pass stops after the level that reaches 64, with 68
     import spinaldim.schreier as schreier
 
     gens = [p.level_permutation(3)
@@ -253,15 +233,14 @@ def test_both_sifts_cut_the_witness_list_at_the_same_level(monkeypatch):
     verify_pass = StabilizerChain._verify_pass
     lengths = []
 
-    def sifted(chain, crossover, cap):
-        monkeypatch.setattr(schreier, "_LOOP_SIFT_BYTES", crossover)
+    def sifted(chain, cap):
         monkeypatch.setattr(schreier, "_MAX_WITNESSES_PER_PASS", cap)
         return verify_pass(chain)
 
     def checked(self):
-        full = sifted(self, 0, 1 << 30)
-        capped = sifted(self, 1 << 62, 64)
-        assert sifted(self, 0, 64) == capped == full[:len(capped)]
+        full = sifted(self, 1 << 30)
+        capped = sifted(self, 64)
+        assert capped == full[:len(capped)]
         lengths.append((len(full), len(capped)))
         return capped
 
@@ -273,9 +252,8 @@ def test_both_sifts_cut_the_witness_list_at_the_same_level(monkeypatch):
 def test_cli_import_leaves_numpy_unloaded():
     # none of numpy, mpmath, dataclasses, inspect, fractions or decimal, after
     # the import, after a verify certified by rigid witnesses, after one
-    # certified by its order bound, or after one whose small Schreier pass is
-    # sifted in pure Python; every layer module still loads
-    # (perfbench/layers.py wraps them all)
+    # certified by its order bound, or after two that end on a Schreier pass;
+    # every layer module still loads (perfbench/layers.py wraps them all)
     layers = ("cli", "perms", "trees", "portraits", "schreier", "wreath", "dimension",
               "synthesis")
     unwanted = ("mpmath", "numpy", "dataclasses", "inspect", "fractions", "decimal")
@@ -294,17 +272,20 @@ def test_cli_import_leaves_numpy_unloaded():
         "assert rc == 0\n"
         "rc = spinaldim.cli.main(['verify', '--seq', '5,5,5', '--level', '3', '--group', 'H'])\n"
         "report()\n"
+        "assert rc == 3\n"
+        "rc = spinaldim.cli.main(['verify', '--seq', '7,6,6', '--level', '3', '--group', 'H'])\n"
+        "report()\n"
         "sys.exit(rc)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
-    # the (5,5,5) L3 H action is the known mismatch with the closed form
+    # the (5,5,5) and (7,6,6) L3 H actions are known mismatches with the closed form
     assert proc.returncode == 3, proc.stderr
     certificates = [line.split('"')[3] for line in proc.stdout.splitlines()
                     if '"certificate"' in line]
-    assert certificates == ["branch", "order-bound", "schreier"]
-    assert proc.stderr.splitlines() == ["8", "8", "8", "8"]
+    assert certificates == ["branch", "order-bound", "schreier", "schreier"]
+    assert proc.stderr.splitlines() == ["8"] * 5
 
 
 def _slow_mul(a, b):

@@ -26,6 +26,7 @@ from spinaldim.wreath import (
     LevelActionReport,
     LogOrderSums,
     _fixed,
+    _on_subtree,
     _peel_words,
     _peeled_witness,
     exact_wreath_order,
@@ -311,6 +312,39 @@ def test_h_mismatch_against_sympy(valencies, index):
 def level_images(valencies, n, which):
     seq = TreeSequence(valencies)
     return [p.level_permutation(n) for p in spinal_group_portraits(seq, n, which)]
+
+
+# on its subtree H is G over the valencies l - 2; these ladders keep or lose
+# the closed form, and the subtree order is the order on the whole level
+@pytest.mark.parametrize("valencies", [(5, 5, 6), (5, 6, 5), (7, 5, 5), (5, 6, 6)])
+def test_h_order_on_the_subtree_equals_the_full_tree_order(valencies, monkeypatch):
+    import spinaldim.wreath as wreath
+
+    degrees = []
+
+    def chain(images, **kwargs):
+        degrees.append(images[0].degree)
+        return StabilizerChain(images, **kwargs)
+
+    monkeypatch.setattr(wreath, "StabilizerChain", chain)
+    r = verify_level_action(TreeSequence(valencies), 3, "H")
+    assert degrees == [TreeSequence(l - 2 for l in valencies).level_size(3)]
+    assert r.degree == TreeSequence(valencies).level_size(3)
+    assert r.measured == StabilizerChain(level_images(valencies, 3, "H")).order()
+
+
+@given(st.lists(st.integers(6, 11), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_h_on_its_subtree_is_g_on_the_shifted_sequence(valencies):
+    # where l - 2 >= 4 the restricted kappa, rho, xi, theta labels are G's
+    # tau, sigma, zeta, psi labels over l - 2, so are the level actions
+    n = len(valencies)
+    h = _on_subtree(spinal_group_portraits(TreeSequence(valencies), n, "H"), 2)
+    shifted = TreeSequence(l - 2 for l in valencies)
+    g = spinal_group_portraits(shifted, n, "G")
+    assert [p.seq for p in h] == [shifted] * 4
+    assert [p.labels for p in h] == [p.labels for p in g]
+    assert [p.level_permutation(n) for p in h] == [p.level_permutation(n) for p in g]
 
 
 def test_order_bound_certifies_every_seed_at_degree_125():
