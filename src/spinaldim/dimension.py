@@ -26,9 +26,8 @@ largest m'_{n-1}.
 The sums are exact ints at a fixed binary scale whose only roundings are
 the logs themselves, so t1, t2, ratio, upper and d are each one correctly
 rounded quotient; lower, t1_cap and the tolerance flags are worked at the
-row's working precision.  These formulas live in one private row builder.
-``partial_dimension`` checks its inputs and calls it, and
-``dimension_report`` asks ``partial_dimension`` for each level, so a deep
+row's working precision.  ``partial_dimension`` builds one level's row from
+these formulas, and ``dimension_report`` asks it for each level, so a deep
 report evaluates each valency's logs once (in ``log_order_sums``) and reads
 every row off the cached sums.
 """
@@ -111,13 +110,19 @@ def _quotient(p: int, q: int, prec: int) -> tuple:
     return mpf_div((0, p, 0, p.bit_length()), (0, q, 0, q.bit_length()), prec, round_nearest)
 
 
-def _level_row(seq: TreeSequence, n: int, precision_bits: int) -> DimensionRow:
-    """The level-n row read off the prefix sums; the caller has checked its inputs.
+def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> DimensionRow:
+    """The level-n quotient d_n together with its envelope row.
 
     t1, t2, ratio, upper and d are each one correctly rounded quotient of
-    the exact sums.  lower, t1_cap and the flags are worked at wp bits on
-    raw mpf values, and only the fields the row keeps become mpf objects.
+    the exact prefix sums.  lower, t1_cap and the flags are worked at wp
+    bits on raw mpf values, and only the fields the row keeps become mpf
+    objects.
     """
+    _require_precision(precision_bits)
+    _require_subgroup_side(seq, n)
+    if not 1 <= n <= len(seq):
+        raise ValueError(f"level {n} outside 1..{len(seq)}; the smallest reported level is 1")
+
     import mpmath
     from mpmath.libmp import fone, from_rational, mpf_add, mpf_div, mpf_le
     from mpmath.libmp import round_nearest as rnd
@@ -154,15 +159,6 @@ def _level_row(seq: TreeSequence, n: int, precision_bits: int) -> DimensionRow:
             t1_cap_ok=mpf_le(t1, mpf_add(t1_cap, tol, wp, rnd)),
         ),
     )
-
-
-def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> DimensionRow:
-    """The level-n quotient d_n together with its envelope row."""
-    _require_precision(precision_bits)
-    _require_subgroup_side(seq, n)
-    if not 1 <= n <= len(seq):
-        raise ValueError(f"level {n} outside 1..{len(seq)}; the smallest reported level is 1")
-    return _level_row(seq, n, precision_bits)
 
 
 def dimension_report(seq: TreeSequence, levels: int, precision_bits: int = 128) -> DimensionReport:

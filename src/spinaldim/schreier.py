@@ -15,10 +15,12 @@ regardless of what the randomized phase did:
 
 The verification pass is the expensive part.  It sends the Schreier
 generators of each level one at a time through the same ``_sift`` walk
-that adding a generator uses, starting at that level.  It refuses with
-:class:`~spinaldim.errors.BudgetExceeded` at the first level whose work,
-4 x generators x orbit x degree (the bytes of its Schreier generators as
-int32 images), would exceed ``_VERIFY_BYTES_LIMIT``.
+that adding a generator uses, starting at that level.  The chain does not
+change during a pass, so the pass's work is known before it sifts
+anything: generators x orbit x levels walked x degree, summed over the
+levels.  Each chain adds that charge to a running total over its passes
+and refuses with :class:`~spinaldim.errors.BudgetExceeded` once the total
+would exceed ``_VERIFY_WORK_LIMIT``.
 
 Internally permutations are 0-based tuples; the public API speaks
 :class:`~spinaldim.perms.Permutation`.  Composition gathers the images in
@@ -42,9 +44,9 @@ from .perms import Permutation
 
 _EXIT_ROUNDS = 16
 _MAX_WITNESSES_PER_PASS = 64
-_INT32_BYTES = 4
-# largest work, 4 x generators x orbit x degree, of one level of the verification pass
-_VERIFY_BYTES_LIMIT = 1 << 30
+# largest work, generators x orbit x levels walked x degree summed over the
+# levels and the passes, of one chain's verification
+_VERIFY_WORK_LIMIT = 1 << 33
 
 
 def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -98,6 +100,7 @@ class StabilizerChain:
         self._levels: list[_Level] = []
         self._rng = Random(seed)
         self._order_bound = order_bound
+        self._verify_work = 0
         self.seed = seed
 
         raw = [tuple(x - 1 for x in g.images) for g in gens]
@@ -257,51 +260,40 @@ class StabilizerChain:
     def _verify_pass(self) -> list[tuple[int, ...]]:
         """Sift every Schreier generator u_{s(a)}^-1 s u_a at every level.
 
-        Returns nonidentity residues, deduplicated: for each level in turn,
-        those stuck at each lower level in level order, then those that
-        sifted through the whole chain, stopping after the first level that
-        brings the count to ``_MAX_WITNESSES_PER_PASS``.  An empty list
-        proves the chain exact: by Schreier's lemma each stabilizer is then
-        generated by the next level's strong generators.  A level whose work,
-        4 x generators x orbit x degree, exceeds ``_VERIFY_BYTES_LIMIT`` is
-        refused before it is sifted.
+        At level i, for each orbit point a in dict order and each strong
+        generator s from level i down, s u_a is sifted from level i: it
+        fixes the bases above, and the walk's first step there leaves the
+        Schreier generator.  Returns the distinct nonidentity residues in
+        the order found, stopping as soon as there are
+        ``_MAX_WITNESSES_PER_PASS``.  An empty list proves the chain exact:
+        by Schreier's lemma each stabilizer is then generated by the next
+        level's strong generators.  The pass's work is charged before
+        anything is sifted.
         """
+        levels = len(self._levels)
+        self._verify_work += sum(
+            len(self._pairs_at(i)) * len(lv.inv_transversal) * (levels - i) * self.degree
+            for i, lv in enumerate(self._levels))
+        if self._verify_work > _VERIFY_WORK_LIMIT:
+            raise BudgetExceeded(
+                f"Schreier verification needs work {self._verify_work} (generators x orbit "
+                f"x levels walked x degree over its passes; limit {_VERIFY_WORK_LIMIT})",
+                required=self._verify_work,
+                limit=_VERIFY_WORK_LIMIT,
+            )
+        identity = self._identity
+        sift = self._sift
         witnesses: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         for i, lv in enumerate(self._levels):
             gens = [g for g, _ in self._pairs_at(i)]
-            required = len(gens) * len(lv.inv_transversal) * self.degree * _INT32_BYTES
-            if required > _VERIFY_BYTES_LIMIT:
-                raise BudgetExceeded(
-                    f"Schreier verification at base level {i} needs work {required} "
-                    f"(4 x generators x orbit x degree; limit {_VERIFY_BYTES_LIMIT})",
-                    required=required,
-                    limit=_VERIFY_BYTES_LIMIT,
-                )
-            for w in self._loop_sift(i, gens):
-                if w not in seen:
-                    seen.add(w)
-                    witnesses.append(w)
-            if len(witnesses) >= _MAX_WITNESSES_PER_PASS:
-                return witnesses
+            for u_inv in lv.inv_transversal.values():
+                u = _inv(u_inv)
+                for s in gens:
+                    residue = sift(_mul(s, u), i)[0]
+                    if residue != identity and residue not in seen:
+                        seen.add(residue)
+                        witnesses.append(residue)
+                        if len(witnesses) == _MAX_WITNESSES_PER_PASS:
+                            return witnesses
         return witnesses
-
-    def _loop_sift(self, i: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Level i's nonidentity residues, each Schreier generator through ``_sift``.
-
-        Generators are taken s-major over the sorted orbit points.  s and u_a
-        fix the bases of levels 0..i-1, so the walk starts at level i; an
-        identity residue comes back from the last level and is dropped.
-        Residues stuck at each lower level come in level order, then the
-        full-sift ones.
-        """
-        orbit = self._levels[i].inv_transversal
-        identity = self._identity
-        stuck: list[list[tuple[int, ...]]] = [[] for _ in range(len(self._levels) + 1)]
-        us = [_inv(orbit[a]) for a in sorted(orbit)]
-        for s in gens:
-            for u in us:
-                residue, level = self._sift(_mul(s, u), i)
-                if residue != identity:
-                    stuck[level].append(residue)
-        return [g for rows in stuck for g in rows]

@@ -102,11 +102,24 @@ def test_verify_digit_budget_refusal_exit_four():
                            "(budget 100000); use the log variant\n")
 
 
+def test_verify_work_budget_refusal_exit_four():
+    # (5,4,5,4) L4 G, degree 400 inside the default cap, would sift about
+    # half a million Schreier generators; the pass is charged up front instead
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinaldim.cli", "verify", "--seq", "5,4,5,4", "--level", "4"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("refused: Schreier verification ")
+
+
 def test_verify_fallback_budget_exit_four(monkeypatch):
     import spinaldim.schreier as schreier
 
     # this H stalls below its closed form, so only the Schreier pass can certify it
-    monkeypatch.setattr(schreier, "_VERIFY_BYTES_LIMIT", 1 << 10)
+    monkeypatch.setattr(schreier, "_VERIFY_WORK_LIMIT", 1 << 10)
     code, out, err = run_cli("verify", "--seq", "5,5,5", "--level", "3", "--group", "H")
     assert code == 4
     assert out == ""

@@ -158,17 +158,74 @@ def test_order_bound_below_true_order_raises(bound):
         StabilizerChain([tau, sigma], order_bound=bound)
 
 
-def test_verify_pass_refuses_above_byte_budget(monkeypatch):
+def test_verify_pass_refuses_above_work_budget(monkeypatch):
     import spinaldim.schreier as schreier
 
-    monkeypatch.setattr(schreier, "_VERIFY_BYTES_LIMIT", 1000)
+    monkeypatch.setattr(schreier, "_VERIFY_WORK_LIMIT", 1000)
     tau, sigma = alt_generators(9)
     with pytest.raises(BudgetExceeded) as err:
         StabilizerChain([tau, sigma])
     assert err.value.limit == 1000
     assert err.value.required > 1000
-    # a chain certified by its order bound builds no matrix
+    # a chain certified by its order bound runs no verification pass
     assert StabilizerChain([tau, sigma], order_bound=math.factorial(9) // 2).order() == 181440
+
+
+@pytest.mark.parametrize("limit", [1000, 1 << 33])
+def test_refused_verify_pass_sifts_nothing(limit, monkeypatch):
+    # the pass's work is charged before its first sift, so a refused pass
+    # sifts no Schreier generator; under the default limit the same spy sees them
+    import spinaldim.schreier as schreier
+
+    monkeypatch.setattr(schreier, "_VERIFY_WORK_LIMIT", limit)
+    verify_pass = StabilizerChain._verify_pass
+    sifted = []
+
+    def spied(self):
+        sift = self._sift
+        self._sift = lambda g, start=0: sifted.append(g) or sift(g, start)
+        try:
+            return verify_pass(self)
+        finally:
+            del self._sift
+
+    monkeypatch.setattr(StabilizerChain, "_verify_pass", spied)
+    if limit == 1000:
+        with pytest.raises(BudgetExceeded):
+            StabilizerChain(alt_generators(9))
+        assert sifted == []
+    else:
+        assert StabilizerChain(alt_generators(9)).order() == math.factorial(9) // 2
+        assert sifted
+
+
+def test_verify_work_accumulates_across_passes(monkeypatch):
+    # (5,5,5) L3 H grown without a fill needs several passes; a limit that
+    # admits the first pass's charge but not the running total refuses the
+    # second pass, with the total as the required work
+    import spinaldim.schreier as schreier
+
+    gens = [p.level_permutation(3)
+            for p in spinal_group_portraits(TreeSequence((5, 5, 5)), 3, "H")]
+    monkeypatch.setattr(StabilizerChain, "_randomized_fill", lambda self: None)
+    verify_pass = StabilizerChain._verify_pass
+    totals = []
+
+    def counted(self):
+        witnesses = verify_pass(self)
+        totals.append(self._verify_work)
+        return witnesses
+
+    monkeypatch.setattr(StabilizerChain, "_verify_pass", counted)
+    assert StabilizerChain(gens).order() == 3 ** 10
+    assert len(totals) >= 2 and totals[0] < totals[1]
+    first, second = totals[:2]
+    totals.clear()
+    monkeypatch.setattr(schreier, "_VERIFY_WORK_LIMIT", first)
+    with pytest.raises(BudgetExceeded) as err:
+        StabilizerChain(gens)
+    assert totals == [first]
+    assert (err.value.required, err.value.limit) == (second, first)
 
 
 def _loop_verify_pass(chain):
@@ -210,7 +267,7 @@ def test_verify_pass_matches_loop_reference(gens, order, monkeypatch):
     def checked(self):
         full = sifted(self, 1 << 62)
         capped = sifted(self, 64)
-        assert capped == full[:len(capped)] and (len(capped) >= 64 or capped == full)
+        assert capped == full[:64]
         assert len(set(full)) == len(full)
         assert set(full) == _loop_verify_pass(self)
         passes.append(len(full))
@@ -222,9 +279,9 @@ def test_verify_pass_matches_loop_reference(gens, order, monkeypatch):
     assert chain.order() == order
 
 
-def test_verify_pass_cuts_the_witness_list_after_the_capping_level(monkeypatch):
+def test_verify_pass_stops_at_exactly_the_witness_cap(monkeypatch):
     # (7,5,6) L3 H grown without a fill finds 71 witnesses in its first pass;
-    # the pass stops after the level that reaches 64, with 68
+    # the capped pass returns the first 64 of them
     import spinaldim.schreier as schreier
 
     gens = [p.level_permutation(3)
@@ -240,13 +297,13 @@ def test_verify_pass_cuts_the_witness_list_after_the_capping_level(monkeypatch):
     def checked(self):
         full = sifted(self, 1 << 30)
         capped = sifted(self, 64)
-        assert capped == full[:len(capped)]
+        assert capped == full[:64]
         lengths.append((len(full), len(capped)))
         return capped
 
     monkeypatch.setattr(StabilizerChain, "_verify_pass", checked)
     assert StabilizerChain(gens).order() == exact_wreath_order((5, 3, 4))
-    assert lengths[0] == (71, 68)
+    assert lengths[0] == (71, 64)
 
 
 def test_cli_import_leaves_numpy_unloaded():
