@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
 
-from spinaldim import TreeSequence, dimension_report, synthesize
+from spinaldim import TreeSequence, dimension_report, end_process, synthesize
 
 # alpha_n is printed as mpmath.mpf(num) / den at 53 bits: the numerator is
 # rounded, then the quotient.  One correctly rounded quotient would be no
@@ -65,4 +65,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    end_process(main(), __file__)

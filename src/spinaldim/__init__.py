@@ -9,6 +9,10 @@ target limit, and sampling of the realizable dimension set.
 
 __version__ = "0.1.0"
 
+import atexit
+import os
+import sys
+
 from .dimension import (
     alpha_target,
     chain_rule_table,
@@ -66,3 +70,73 @@ __all__ = [
     "verify_level_action",
     "window",
 ]
+
+
+def _command_line():
+    """Split ``sys.orig_argv`` after the interpreter's own options.
+
+    Returns ``(entry, args)``, with ``entry`` ``("-m", module)``,
+    ``("-c", command)`` or ``(script,)``, or ``None`` for standard input, no
+    program, or a long option such as ``--``: a line that matches no entry
+    point, so the run ends the normal way.
+    """
+    argv = sys.orig_argv
+    i = 1
+    while i < len(argv) and argv[i].startswith("-") and argv[i] != "-":
+        arg = argv[i]
+        i += 1
+        if arg.startswith("--"):
+            return None
+        # a cluster such as -uBW ends at the first option that takes a value
+        for k, opt in enumerate(arg[1:], 2):
+            if opt in "cmWX":
+                value = arg[k:]
+                if not value:
+                    value, i = argv[i], i + 1
+                if opt in "cm":
+                    return (f"-{opt}", value), argv[i:]
+                break
+    if i < len(argv) and argv[i] != "-":
+        return (argv[i],), argv[i + 1:]
+    return None
+
+
+def _started_on(entry) -> bool:
+    """Whether the interpreter was started on ``entry`` with this process's arguments."""
+    if sys.flags.inspect or os.environ.get("PYTHONINSPECT"):
+        return False  # -i: the interpreter goes on to a prompt
+    parsed = _command_line()
+    if parsed is None or parsed[1] != sys.argv[1:]:
+        return False
+    target = parsed[0]
+    if entry[0] == "-m":
+        return target == entry
+    return len(target) == 1 and os.path.realpath(target[0]) == os.path.realpath(entry[0])
+
+
+def end_process(code: int, *entry: str):
+    """End the process with exit status ``code``, skipping interpreter teardown.
+
+    ``entry`` is the program as the command line names it: ``"-m", module``
+    or the script's path.  When the interpreter was started on exactly that
+    entry (``python -m spinaldim.cli ...``, ``python scripts/x.py ...``),
+    this runs the exit handlers, flushes stdout and stderr, in the
+    interpreter's own order, and calls ``os._exit``: freeing every loaded
+    module one object at a time only delays the exit.  Anything else that
+    runs the entry as ``__main__`` (``-i``, ``-m cProfile``, pdb, ``runpy``)
+    expects control back and gets ``sys.exit(code)``, as does a live
+    non-daemon thread, or a standard stream that cannot be flushed (a
+    closed pipe then ends as it always has).
+    """
+    threading = sys.modules.get("threading")
+    if not _started_on(entry) or (threading is not None and any(
+            not t.daemon for t in threading.enumerate() if t is not threading.main_thread())):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)  # the handlers ran and are cleared, so none runs twice
+    os._exit(code)

@@ -579,3 +579,192 @@ def test_spectrum_gallery_refuses_over_budget(tmp_path, monkeypatch):
     assert code == cli.BUDGET_ERROR == 4
     assert err.getvalue().startswith("refused: prime-rich scan over ")
     assert "exceeds cap 20" in err.getvalue()
+
+
+# A cold `python -m spinaldim.cli` or `python scripts/dimension_scan.py` ends
+# through spinaldim.end_process (flush, exit handlers, os._exit); the codes
+# and bytes below are those of the plain `sys.exit(main())` ending.
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
+
+def _cold_env(site_dir=None, unbuffered=False):
+    # stdout block-buffered unless asked, so that a lost flush loses bytes
+    path = [str(ROOT / "src")] if site_dir is None else [str(site_dir), str(ROOT / "src")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONIOENCODING="utf-8")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _cold(argv, site_dir=None, **kwargs):
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=_cold_env(site_dir),
+                          capture_output=True, timeout=120, **kwargs)
+
+
+def _site_dir(tmp_path, source):
+    """A PYTHONPATH entry whose sitecustomize.py runs ``source`` at start-up."""
+    site_dir = tmp_path / "site"
+    site_dir.mkdir()
+    (site_dir / "sitecustomize.py").write_text(source)
+    return site_dir
+
+
+def _exit_handler(body):
+    return f"import atexit\n\n\n@atexit.register\ndef _handler():\n    {body}\n"
+
+
+@pytest.mark.parametrize("argv, code, out_digest, err", [
+    ("-m spinaldim.cli verify --seq 7,7 --level 2 --group G --seed 18", 0,
+     "73b97af55575e06fa2b0035779414856e9f1b3302c11d7ce6f5e83a9c9d273ba", ""),
+    ("-m spinaldim.cli verify --seq 5,x --level 2", 2, EMPTY_SHA256,
+     "usage: spinaldim verify [-h] --seq SEQ --level LEVEL [--group {G,H}]\n"
+     "                        [--seed SEED] [--cap CAP] [--timing] [--out OUT]\n"
+     "spinaldim verify: error: argument --seq: invalid literal for int() with base 10: 'x'\n"),
+    ("-m spinaldim.cli verify --seq 5,5,5 --level 3 --group H", 3,
+     "5e404bcef8b3af9fbead6df156e479a0834c9f640b4ae1a4c8f26b6ffa30c7e5", ""),
+    ("-m spinaldim.cli verify --seq 5,5,5 --level 3 --cap 100", 4, EMPTY_SHA256,
+     "refused: level 3 action has degree 125 > cap 100\n"),
+    ("scripts/dimension_scan.py --levels 3 --constants 5 --targets=", 0,
+     "fb22fdfdc7ebebc7549266966bf55fdd1dac0713d9f1b643a2639860d9fa7db3", ""),
+])
+def test_cold_run_keeps_its_code_bytes_and_exit_handlers(tmp_path, argv, code, out_digest, err):
+    marker = tmp_path / "handler-ran"
+    site_dir = _site_dir(tmp_path, _exit_handler(f"open({str(marker)!r}, 'w').close()"))
+    proc = _cold(argv.split(), site_dir)
+    assert proc.returncode == code
+    assert hashlib.sha256(proc.stdout).hexdigest() == out_digest
+    assert proc.stderr.decode() == err
+    assert marker.exists()
+
+
+def test_exit_handler_output_is_flushed(tmp_path):
+    site_dir = _site_dir(tmp_path, _exit_handler("print('handler ran')"))
+    proc = _cold(["-m", "spinaldim.cli", "--version"], site_dir)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"spinaldim 0.1.0\nhandler ran\n", b"")
+
+
+def test_cprofile_gets_control_back_and_writes_its_stats(tmp_path):
+    import pstats
+
+    stats = tmp_path / "verify.prof"
+    proc = _cold(["-m", "cProfile", "-o", str(stats), "-m", "spinaldim.cli", "verify",
+                  "--seq", "7,7", "--level", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert pstats.Stats(str(stats)).total_calls > 0
+
+
+def test_runpy_caller_gets_control_back():
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['spinaldim', 'verify', '--seq', '5,5,5', '--level', '3', '--cap', '100']\n"
+        "try:\n"
+        "    runpy.run_module('spinaldim.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('control back, code', exc.code)\n"
+    )
+    proc = _cold(["-c", code])
+    assert proc.returncode == 0
+    assert proc.stdout == b"control back, code 4\n"
+    assert proc.stderr == b"refused: level 3 action has degree 125 > cap 100\n"
+
+
+def test_inspect_flag_reaches_the_prompt():
+    proc = _cold(["-i", "-m", "spinaldim.cli", "--version"], input=b"print('prompt reached')\n")
+    assert proc.returncode == 0
+    assert proc.stdout == b"spinaldim 0.1.0\nprompt reached\n"
+
+
+BROKEN_PIPE_AT_EXIT = (b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+                       b"encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\n")
+WRITE_ERROR = b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered, code, err", [(True, 0, b""), (False, 2, WRITE_ERROR)])
+def test_reader_closing_a_large_output_early_ends_as_before(unbuffered, code, err):
+    # 1.3 MB of JSON in one write; the reader keeps 10 bytes and closes the pipe
+    argv = [sys.executable, "-m", "spinaldim.cli", "spectrum", "--alpha", "1/2",
+            "--seq", "8,32,32,32,32,32", "--max-den", "480", "--horizon", "6"]
+    with subprocess.Popen(argv, cwd=ROOT, env=_cold_env(unbuffered=unbuffered),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err_got = proc.stderr.read()
+        assert (head, proc.wait(timeout=120), err_got) == (b'{\n  "tool"', code, err)
+
+
+@pytest.mark.parametrize("argv, unbuffered, code, err", [
+    # buffered, the bytes wait for the exit flush, which fails on the
+    # closed pipe; the run then ends through sys.exit, as it always did
+    ("--version", False, 120, BROKEN_PIPE_AT_EXIT),
+    ("--version", True, 0, b""),  # argparse ignores its failed write
+    ("verify --seq 5,5 --level 2", False, 120, BROKEN_PIPE_AT_EXIT),
+    ("verify --seq 5,5 --level 2", True, 2, WRITE_ERROR),
+])
+def test_output_into_a_closed_pipe_ends_as_before(argv, unbuffered, code, err):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spinaldim.cli", *argv.split()], cwd=ROOT,
+                              env=_cold_env(unbuffered=unbuffered), stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def test_live_thread_is_joined_before_the_exit(tmp_path):
+    marker = tmp_path / "thread-done"
+    site_dir = _site_dir(tmp_path, (
+        "import threading, time\n\n\n"
+        "def _late():\n"
+        "    time.sleep(0.3)\n"
+        f"    open({str(marker)!r}, 'w').close()\n\n\n"
+        "threading.Thread(target=_late).start()\n"))
+    proc = _cold(["-m", "spinaldim.cli", "--version"], site_dir)
+    assert proc.returncode == 0
+    assert marker.exists()
+
+
+@pytest.mark.parametrize("orig_argv, parsed", [
+    (["py", "-m", "spinaldim.cli", "verify"], (("-m", "spinaldim.cli"), ["verify"])),
+    (["py", "-X", "importtime", "-uBWignore", "-mspinaldim.cli", "-h"],
+     (("-m", "spinaldim.cli"), ["-h"])),
+    (["py", "-m", "cProfile", "-o", "F", "-m", "spinaldim.cli"],
+     (("-m", "cProfile"), ["-o", "F", "-m", "spinaldim.cli"])),
+    (["py", "-E", "scan.py", "-m"], (("scan.py",), ["-m"])),
+    (["py", "-c", "pass", "-m"], (("-c", "pass"), ["-m"])),
+    (["py", "--check-hash-based-pycs", "always", "scan.py"], None),
+    (["py", "-"], None),
+    (["py", "-q"], None),
+    (["py", "--version"], None),
+])
+def test_command_line_split_after_interpreter_options(monkeypatch, orig_argv, parsed):
+    import spinaldim
+
+    monkeypatch.setattr(sys, "orig_argv", orig_argv)
+    assert spinaldim._command_line() == parsed
+
+
+SCAN = "scripts/dimension_scan.py"
+
+
+@pytest.mark.parametrize("orig_argv, argv, entry, started", [
+    (["py", "-m", "spinaldim.cli", "a"], ["cli.py", "a"], ("-m", "spinaldim.cli"), True),
+    (["py", "-m", "spinaldim.cli", "a"], ["cli.py", "b"], ("-m", "spinaldim.cli"), False),
+    (["py", "-m", "spinaldim.cli"], ["cli.py"], (str(ROOT / SCAN),), False),
+    (["py", "-c", str(ROOT / SCAN)], ["-c"], (str(ROOT / SCAN),), False),
+    (["py", SCAN, "a"], [SCAN, "a"], (str(ROOT / SCAN),), True),
+    (["py", "./scripts/../" + SCAN], [SCAN], (str(ROOT / SCAN),), True),
+    # perfbench's layers.py runs the scan through runpy.run_path
+    (["py", "perfbench/layers.py", "S.json", SCAN], [SCAN], (str(ROOT / SCAN),), False),
+    (["py", "runner.py", "a"], [SCAN, "a"], (str(ROOT / SCAN),), False),
+])
+def test_started_on_needs_the_entry_and_its_arguments(monkeypatch, orig_argv, argv, entry,
+                                                      started):
+    import spinaldim
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "orig_argv", orig_argv)
+    monkeypatch.setattr(sys, "argv", argv)
+    assert spinaldim._started_on(entry) is started
