@@ -11,12 +11,13 @@ Usage:
 """
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
 from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
 
-from spinaldim import TreeSequence, dimension_report, end_process, synthesize
+from spinaldim import TreeSequence, _end_process, dimension_report, synthesize
 
 # alpha_n is printed as mpmath.mpf(num) / den at 53 bits: the numerator is
 # rounded, then the quotient.  One correctly rounded quotient would be no
@@ -65,4 +66,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    end_process(main(), __file__)
+    code = main()
+    # the line names the scan by sys.argv[0] unless a runner has run this file's code
+    if os.path.realpath(sys.argv[0]) == os.path.realpath(__file__):
+        _end_process(code, sys.argv[0])
+    sys.exit(code)

@@ -72,61 +72,31 @@ __all__ = [
 ]
 
 
-def _command_line():
-    """Split ``sys.orig_argv`` after the interpreter's own options.
-
-    Returns ``(entry, args)``, with ``entry`` ``("-m", module)``,
-    ``("-c", command)`` or ``(script,)``, or ``None`` for standard input, no
-    program, or a long option such as ``--``: a line that matches no entry
-    point, so the run ends the normal way.
-    """
-    argv = sys.orig_argv
-    i = 1
-    while i < len(argv) and argv[i].startswith("-") and argv[i] != "-":
-        arg = argv[i]
-        i += 1
-        if arg.startswith("--"):
-            return None
-        # a cluster such as -uBW ends at the first option that takes a value
-        for k, opt in enumerate(arg[1:], 2):
-            if opt in "cmWX":
-                value = arg[k:]
-                if not value:
-                    value, i = argv[i], i + 1
-                if opt in "cm":
-                    return (f"-{opt}", value), argv[i:]
-                break
-    if i < len(argv) and argv[i] != "-":
-        return (argv[i],), argv[i + 1:]
-    return None
-
-
 def _started_on(entry) -> bool:
-    """Whether the interpreter was started on ``entry`` with this process's arguments."""
+    """Whether the command line was exactly ``python *entry *sys.argv[1:]``.
+
+    Any interpreter option, a runner module before ``entry`` or other
+    arguments make it a different line, and so does ``-i``, after which the
+    interpreter goes on to a prompt.
+    """
     if sys.flags.inspect or os.environ.get("PYTHONINSPECT"):
-        return False  # -i: the interpreter goes on to a prompt
-    parsed = _command_line()
-    if parsed is None or parsed[1] != sys.argv[1:]:
         return False
-    target = parsed[0]
-    if entry[0] == "-m":
-        return target == entry
-    return len(target) == 1 and os.path.realpath(target[0]) == os.path.realpath(entry[0])
+    return sys.orig_argv[1:] == [*entry, *sys.argv[1:]]
 
 
-def end_process(code: int, *entry: str):
+def _end_process(code: int, *entry: str):
     """End the process with exit status ``code``, skipping interpreter teardown.
 
     ``entry`` is the program as the command line names it: ``"-m", module``
     or the script's path.  When the interpreter was started on exactly that
-    entry (``python -m spinaldim.cli ...``, ``python scripts/x.py ...``),
-    this runs the exit handlers, flushes stdout and stderr, in the
-    interpreter's own order, and calls ``os._exit``: freeing every loaded
-    module one object at a time only delays the exit.  Anything else that
-    runs the entry as ``__main__`` (``-i``, ``-m cProfile``, pdb, ``runpy``)
-    expects control back and gets ``sys.exit(code)``, as does a live
-    non-daemon thread, or a standard stream that cannot be flushed (a
-    closed pipe then ends as it always has).
+    entry, with no interpreter option (``python -m spinaldim.cli ...``,
+    ``python scripts/x.py ...``), this runs the exit handlers, flushes
+    stdout and stderr, in the interpreter's own order, and calls
+    ``os._exit``: freeing every loaded module one object at a time only
+    delays the exit.  Any other start, such as ``-i``, ``-m cProfile``, pdb
+    or ``runpy``, which expect control back, gets ``sys.exit(code)``, as
+    does a live non-daemon thread, or a standard stream that cannot be
+    flushed (a closed pipe then ends as it always has).
     """
     threading = sys.modules.get("threading")
     if not _started_on(entry) or (threading is not None and any(

@@ -18,7 +18,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from . import __version__, end_process
+from . import __version__, _end_process
 from .dimension import _quotient, _require_precision, dimension_report
 from .errors import BudgetExceeded
 from .portraits import GROUPS, SPINAL_KINDS, Portrait
@@ -391,4 +391,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    end_process(main(), "-m", "spinaldim.cli")
+    _end_process(main(), "-m", "spinaldim.cli")

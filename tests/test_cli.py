@@ -582,7 +582,7 @@ def test_spectrum_gallery_refuses_over_budget(tmp_path, monkeypatch):
 
 
 # A cold `python -m spinaldim.cli` or `python scripts/dimension_scan.py` ends
-# through spinaldim.end_process (flush, exit handlers, os._exit); the codes
+# through spinaldim._end_process (flush, exit handlers, os._exit); the codes
 # and bytes below are those of the plain `sys.exit(main())` ending.
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 
@@ -726,45 +726,45 @@ def test_live_thread_is_joined_before_the_exit(tmp_path):
     assert marker.exists()
 
 
-@pytest.mark.parametrize("orig_argv, parsed", [
-    (["py", "-m", "spinaldim.cli", "verify"], (("-m", "spinaldim.cli"), ["verify"])),
-    (["py", "-X", "importtime", "-uBWignore", "-mspinaldim.cli", "-h"],
-     (("-m", "spinaldim.cli"), ["-h"])),
-    (["py", "-m", "cProfile", "-o", "F", "-m", "spinaldim.cli"],
-     (("-m", "cProfile"), ["-o", "F", "-m", "spinaldim.cli"])),
-    (["py", "-E", "scan.py", "-m"], (("scan.py",), ["-m"])),
-    (["py", "-c", "pass", "-m"], (("-c", "pass"), ["-m"])),
-    (["py", "--check-hash-based-pycs", "always", "scan.py"], None),
-    (["py", "-"], None),
-    (["py", "-q"], None),
-    (["py", "--version"], None),
-])
-def test_command_line_split_after_interpreter_options(monkeypatch, orig_argv, parsed):
-    import spinaldim
-
-    monkeypatch.setattr(sys, "orig_argv", orig_argv)
-    assert spinaldim._command_line() == parsed
-
-
 SCAN = "scripts/dimension_scan.py"
+
+
+@pytest.mark.parametrize("argv, torn_down", [
+    ("-m spinaldim.cli --version", False),
+    (SCAN + " --levels 2 --constants 5 --targets=", False),
+    ("-u -m spinaldim.cli --version", True),  # any interpreter option: the normal exit
+    ("-u " + SCAN + " --levels 2 --constants 5 --targets=", True),
+])
+def test_teardown_is_skipped_only_on_the_bare_command_line(tmp_path, argv, torn_down):
+    # a module global whose finaliser runs only when the interpreter tears down
+    site_dir = _site_dir(tmp_path, (
+        "import sys\n\n\n"
+        "class _Teardown:\n"
+        "    def __del__(self):\n"
+        "        sys.stderr.write('torn down\\n')\n\n\n"
+        "_kept = _Teardown()\n"))
+    proc = _cold(argv.split(), site_dir)
+    assert proc.returncode == 0
+    assert proc.stderr == (b"torn down\n" if torn_down else b"")
 
 
 @pytest.mark.parametrize("orig_argv, argv, entry, started", [
     (["py", "-m", "spinaldim.cli", "a"], ["cli.py", "a"], ("-m", "spinaldim.cli"), True),
     (["py", "-m", "spinaldim.cli", "a"], ["cli.py", "b"], ("-m", "spinaldim.cli"), False),
-    (["py", "-m", "spinaldim.cli"], ["cli.py"], (str(ROOT / SCAN),), False),
-    (["py", "-c", str(ROOT / SCAN)], ["-c"], (str(ROOT / SCAN),), False),
-    (["py", SCAN, "a"], [SCAN, "a"], (str(ROOT / SCAN),), True),
-    (["py", "./scripts/../" + SCAN], [SCAN], (str(ROOT / SCAN),), True),
+    (["py", "-X", "importtime", "-m", "spinaldim.cli"], ["cli.py"], ("-m", "spinaldim.cli"),
+     False),
+    (["py", "-m", "cProfile", "-m", "spinaldim.cli"], ["cli.py"], ("-m", "spinaldim.cli"),
+     False),
+    (["py", "-m", "spinaldim.cli"], ["cli.py"], (SCAN,), False),
+    (["py", SCAN, "a"], [SCAN, "a"], (SCAN,), True),
     # perfbench's layers.py runs the scan through runpy.run_path
-    (["py", "perfbench/layers.py", "S.json", SCAN], [SCAN], (str(ROOT / SCAN),), False),
-    (["py", "runner.py", "a"], [SCAN, "a"], (str(ROOT / SCAN),), False),
+    (["py", "perfbench/layers.py", "S.json", SCAN], [SCAN], (SCAN,), False),
+    (["py", "runner.py", "a"], [SCAN, "a"], (SCAN,), False),
 ])
 def test_started_on_needs_the_entry_and_its_arguments(monkeypatch, orig_argv, argv, entry,
                                                       started):
     import spinaldim
 
-    monkeypatch.chdir(ROOT)
     monkeypatch.setattr(sys, "orig_argv", orig_argv)
     monkeypatch.setattr(sys, "argv", argv)
     assert spinaldim._started_on(entry) is started
