@@ -3,9 +3,35 @@
 Points are 1-based.  The composition convention is fixed once for the whole
 package: in a product the right factor acts first, so (g * h)(x) = g(h(x))
 and conjugation w = s**-2 * t * s**2 means "apply s**2, then t, then s**-2".
+
+The kernel ``_mul``, ``_inv`` and ``_is_id`` works on the 0-based image
+tuples that chains and branch witnesses compute in, composing in one C call
+(``operator.itemgetter``).  :class:`Permutation` uses it too: a 1-based
+table is the 0-based table, behind a fixed 0, of a permutation of 0..k.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
+
+
+def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product applying b first: (a*b)(x) = a(b(x))."""
+    if len(b) < 2:
+        # itemgetter of a single index returns the item, not a 1-tuple
+        return tuple(a[x] for x in b)
+    return itemgetter(*b)(a)
+
+
+def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(a)
+    for i, y in enumerate(a):
+        inv[y] = i
+    return tuple(inv)
+
+
+def _is_id(a: tuple[int, ...]) -> bool:
+    return a == tuple(range(len(a)))
 
 
 class Permutation:
@@ -77,14 +103,10 @@ class Permutation:
         """Composition with the right factor acting first."""
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        si = self.images
-        return Permutation(tuple(si[y - 1] for y in other.images))
+        return Permutation(_mul((0, *self.images), other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, y in enumerate(self.images):
-            inv[y - 1] = i + 1
-        return Permutation(tuple(inv))
+        return Permutation(_inv((0, *self.images))[1:])
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -99,7 +121,7 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(y == i + 1 for i, y in enumerate(self.images))
+        return _is_id((0, *self.images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Canonical cycle decomposition.

@@ -22,9 +22,9 @@ levels.  Each chain adds that charge to a running total over its passes
 and refuses with :class:`~spinaldim.errors.BudgetExceeded` once the total
 would exceed ``_VERIFY_WORK_LIMIT``.
 
-Internally permutations are 0-based tuples; the public API speaks
-:class:`~spinaldim.perms.Permutation`.  Composition gathers the images in
-one C call (``operator.itemgetter``), and each orbit grows by a FIFO
+Internally permutations are 0-based tuples, composed and inverted by the
+kernel of :mod:`spinaldim.perms`; the public API speaks
+:class:`~spinaldim.perms.Permutation`.  Each orbit grows by a FIFO
 breadth-first search that gathers the level's generators only once the
 new generator has produced a new point.  Each level stores only the
 inverses u_b^-1 of its coset representatives, since sifting reads nothing
@@ -36,36 +36,16 @@ of the level it is checking by inverting those rows.
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 from random import Random
 
 from .errors import BudgetExceeded
-from .perms import Permutation
+from .perms import Permutation, _inv, _is_id, _mul
 
 _EXIT_ROUNDS = 16
 _MAX_WITNESSES_PER_PASS = 64
 # largest work, generators x orbit x levels walked x degree summed over the
 # levels and the passes, of one chain's verification
 _VERIFY_WORK_LIMIT = 1 << 33
-
-
-def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product applying b first: (a*b)(x) = a(b(x))."""
-    if len(b) < 2:
-        # itemgetter of a single index returns the item, not a 1-tuple
-        return tuple(a[x] for x in b)
-    return itemgetter(*b)(a)
-
-
-def _inv(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, y in enumerate(a):
-        inv[y] = i
-    return tuple(inv)
-
-
-def _is_id(a: tuple[int, ...]) -> bool:
-    return a == tuple(range(len(a)))
 
 
 class _Level:

@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 
 _MAX_ENTRY_DIGITS = 100_000
 _SCAN_CAP = 2_000_000
+# largest work, denominators examined plus entries built, of one spectrum sample
+_SPECTRUM_WORK_LIMIT = 100_000
 
 
 def window(alpha: Fraction, p_prev: Fraction) -> tuple[int, int]:
@@ -223,6 +225,16 @@ class SpectrumResult(NamedTuple):
     entries: list[SpectrumEntry]
 
 
+def _charge_spectrum(work: int) -> None:
+    if work > _SPECTRUM_WORK_LIMIT:
+        raise BudgetExceeded(
+            f"spectrum sample needs work above {_SPECTRUM_WORK_LIMIT} (denominators examined "
+            "plus entries built); lower the max denominator or the horizon",
+            required=work,
+            limit=_SPECTRUM_WORK_LIMIT,
+        )
+
+
 def spectrum_sample(
     alpha: Fraction,
     seq: TreeSequence,
@@ -233,7 +245,9 @@ def spectrum_sample(
 
     Admissibility and the witness depend on b alone.  Since gcd(a, b) = 1,
     q*m_n is an integer exactly when b divides m_n, so the realization
-    level is also found once per b.
+    level is also found once per b.  The work, denominators examined plus
+    entries built, is checked as it grows: above _SPECTRUM_WORK_LIMIT the
+    sample is refused with BudgetExceeded.
     """
     from fractions import Fraction
 
@@ -246,6 +260,7 @@ def spectrum_sample(
         raise ValueError(f"horizon must lie in 0..{len(seq)}")
     entries: list[SpectrumEntry] = []
     for b in range(1, max_denominator + 1):
+        _charge_spectrum(b + len(entries))
         res = denominator_witness(Fraction(1, b), seq, horizon)
         if not res.found:
             continue
@@ -258,6 +273,7 @@ def spectrum_sample(
         for a in range(0, b + 1):
             if math.gcd(a, b) != 1:
                 continue
+            _charge_spectrum(b + len(entries) + 2)
             q = Fraction(a, b)
             entries.append(
                 SpectrumEntry(

@@ -33,9 +33,9 @@ from collections import deque
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded, DegreeCapExceeded
-from .perms import Permutation
+from .perms import Permutation, _inv, _mul
 from .portraits import GROUPS, Portrait
-from .schreier import StabilizerChain, _inv, _mul
+from .schreier import StabilizerChain
 from .trees import TreeSequence
 
 if TYPE_CHECKING:
@@ -205,27 +205,6 @@ def spinal_group_portraits(seq: TreeSequence, depth: int, which: str) -> list[Po
             + [Portrait.spinal(kind, seq, depth) for kind in kinds])
 
 
-def labels_in_wreath_product(portraits: list[Portrait], which: str) -> bool:
-    """Whether the labels prove the closed form bounds the generated level action.
-
-    With s the shift of ``which``: every label is even and fixes the letters
-    above l - s, and only vertices whose letters are all <= l_i - s carry
-    labels.  The group then preserves the subtree on letters <= l_i - s,
-    moves a vertex only through its prefix inside that subtree, and so acts
-    on level n as a subgroup of the iterated wreath product of the
-    A_{l_i - s}.  For G (s = 0) only the evenness says anything.
-    """
-    shift = _group(which)[2]
-    for p in portraits:
-        for v, perm in p.labels.items():
-            top = perm.degree - shift  # the letters above top stay fixed
-            if not perm.is_even() or perm.images[top:] != tuple(range(top + 1, perm.degree + 1)):
-                return False
-            if any(x > p.seq[i] - shift for i, x in enumerate(v)):
-                return False
-    return True
-
-
 def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
     """Refuse a prefix whose shifted valencies l_j - 2, j < n, fall below 3."""
     for l in seq.valencies[:n]:
@@ -234,9 +213,10 @@ def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _pair_order(pair: tuple[Permutation, Permutation], bound: int) -> int:
-    """The order of the group a label pair generates, by a chain of the pair's degree."""
-    return StabilizerChain(pair, order_bound=bound).order()
+def _pair_is_alternating(pair: tuple[Permutation, Permutation]) -> bool:
+    """Whether an even label pair of degree l generates all of A_l, by a chain of degree l."""
+    section = math.factorial(pair[0].degree) // 2
+    return StabilizerChain(pair, order_bound=section).order() == section
 
 
 @functools.lru_cache(maxsize=64)
@@ -304,30 +284,46 @@ def _peeled_witness(images: list[tuple[int, ...]],
     return c
 
 
-def _on_subtree(portraits: list[Portrait], shift: int) -> list[Portrait]:
+def _on_subtree(portraits: list[Portrait], which: str) -> list[Portrait] | None:
     """The portraits on the subtree of letters <= l_i - s, as portraits over (l_i - s).
 
-    Labels that pass ``labels_in_wreath_product`` sit on that subtree and
-    fix every letter above l - s, so the subtree is invariant, each label
-    keeps its first l - s images, and an element trivial on the subtree is
-    trivial: the restriction is faithful, with the same level orders.
+    With s the shift of ``which``, the labels prove the closed form bounds
+    the generated level action when every label is even and fixes the
+    letters above l - s, and only vertices whose letters are all <= l_i - s
+    carry labels.  The group then preserves the subtree, moves a vertex only
+    through its prefix inside it, and so acts on level n as a subgroup of
+    the iterated wreath product of the A_{l_i - s}.  Each label keeps its
+    first l - s images, and an element trivial on the subtree is trivial:
+    the restriction is faithful, with the same level orders.  For G (s = 0)
+    only the evenness says anything.  Returns None when a label proves no
+    bound.
     """
+    shift = _group(which)[2]
     depth = portraits[0].depth
     sub = TreeSequence(l - shift for l in portraits[0].seq.valencies[:depth])
-    return [Portrait(sub, depth, {v: Permutation(perm.images[:perm.degree - shift])
-                                  for v, perm in p.labels.items()})
-            for p in portraits]
+    out = []
+    for p in portraits:
+        labels = {}
+        for v, perm in p.labels.items():
+            top = perm.degree - shift  # the letters above top stay fixed
+            if not perm.is_even() or perm.images[top:] != tuple(range(top + 1, perm.degree + 1)):
+                return None
+            if any(x > p.seq[i] - shift for i, x in enumerate(v)):
+                return None
+            labels[v] = Permutation(perm.images[:top])
+        out.append(Portrait(sub, depth, labels))
+    return out
 
 
-def _branch_order(portraits: list[Portrait], n: int) -> int | None:
-    """|X_n| certified level by level from rigid witnesses, or None where that does not apply.
+def _branch_certifies(portraits: list[Portrait], n: int) -> bool:
+    """Whether rigid witnesses certify that |X_n| reaches the closed form, level by level.
 
     The portraits come from ``_on_subtree`` and their labels are even.  The
     domain is n >= 2, l_0 >= 4 and l_k >= 5 for 0 < k < n.  Level k takes
     the rooted pair at v = () for k = 1 and the spinal pair at
     v = (1, ..., 1, 2) of level k - 1 otherwise, with l = l_{k-1}:
 
-    (a) the pair's labels at v generate A_l (a chain of degree l);
+    (a) the pair's labels at v generate A_l (``_pair_is_alternating``);
     (b) the pair maps the block of level k under v onto itself by exactly
         those labels;
     (c) for k >= 2, the ``_peeled_witness`` c is nontrivial on that block
@@ -339,37 +335,31 @@ def _branch_order(portraits: list[Portrait], n: int) -> int | None:
     block as A_l.  That group is simple, so the subgroup is all of A_l;
     X_{k-1} is the full wreath product and moves v to every vertex, so the
     kernel holds A_l on each of its m_{k-1} blocks, the most the labels
-    allow.  Each level multiplies the order by the pair's order to the
-    power m_{k-1}.
+    allow.  So |X_n| = prod (l!/2)^{m_{k-1}}, the closed form.
     """
     seq = portraits[0].seq
     valencies = seq.valencies[:n]
     if n < 2 or valencies[0] < 4 or any(l < 5 for l in valencies[1:]):
-        return None
-    order = 1
-    blocks = 1  # m_{k-1}, the blocks of level k
+        return False
     words = []  # the _peel_words of the pairs at (), (2,), (1, 2), ...
     for k, l in enumerate(valencies, start=1):
         v, gens = ((), slice(0, 2)) if k == 1 else ((1,) * (k - 2) + (2,), slice(2, 4))
         pair = tuple(p.labels[v] for p in portraits[gens])
-        section = math.factorial(l) // 2
-        if _pair_order(pair, section) != section:
-            return None
+        if not _pair_is_alternating(pair):
+            return False
         images = [tuple(x - 1 for x in p.level_permutation(k).images) for p in portraits]
         start = (seq.vertex_index(v) - 1) * l
         for g, label in zip(images[gens], pair):
             if g[start:start + l] != tuple(start + y - 1 for y in label.images):
-                return None
+                return False
         if k >= 2:
             c = _peeled_witness(images, words[:k - 2])
             moved = [x for x, y in enumerate(c) if x != y]
             if not moved or moved[0] < start or moved[-1] >= start + l:
-                return None
+                return False
         if k <= n - 2:
             words.append(_peel_words(pair))
-        order *= section ** blocks
-        blocks *= l
-    return order
+    return True
 
 
 class LevelActionReport(NamedTuple):
@@ -394,13 +384,13 @@ def verify_level_action(
 ) -> LevelActionReport:
     """Compare the generated level-n action against the closed-form order.
 
-    When the labels pass ``labels_in_wreath_product``, the closed form bounds
-    the order, which is counted on the m'_n points of their subtree
-    (``_on_subtree``): in the branch domain of ``_branch_order`` (n >= 2,
-    l_0 - s >= 4 and l_k - s >= 5 for 0 < k < n) from rigid witnesses,
-    certificate ``"branch"``; otherwise, or when a branch check fails, by a
-    chain, ``"order-bound"`` when it reaches the bound and ``"schreier"``
-    when an exhaustive pass certifies less.  Other labels get a
+    When the labels prove the closed form bounds the order (``_on_subtree``),
+    it is counted on the m'_n points of their subtree: in the branch domain
+    of ``_branch_certifies`` (n >= 2, l_0 - s >= 4 and l_k - s >= 5 for
+    0 < k < n) rigid witnesses certify measured = expected, certificate
+    ``"branch"``; otherwise, or when a branch check fails, a chain counts
+    it, ``"order-bound"`` when it reaches the bound and ``"schreier"`` when
+    an exhaustive pass certifies less.  Labels that prove no bound get a
     ``"schreier"`` chain on all m_n points.  ``degree`` is m_n either way,
     and ``degree_cap`` applies to it.
     """
@@ -420,15 +410,13 @@ def verify_level_action(
     if shift:
         _require_subgroup_side(seq, n)
     expected = exact_wreath_order(tuple(l - shift for l in seq.valencies[:n]))
-    portraits = spinal_group_portraits(seq, n, which)
-    bound = measured = None
-    if labels_in_wreath_product(portraits, which):
-        bound = expected
-        portraits = _on_subtree(portraits, shift)
-        measured = _branch_order(portraits, n)
-    certificate = "branch"
-    if measured is None:
-        images = [p.level_permutation(n) for p in portraits]
+    full = spinal_group_portraits(seq, n, which)
+    portraits = _on_subtree(full, which)
+    if portraits is not None and _branch_certifies(portraits, n):
+        measured, certificate = expected, "branch"
+    else:
+        bound = None if portraits is None else expected
+        images = [p.level_permutation(n) for p in portraits or full]
         chain = StabilizerChain(images, seed=seed, order_bound=bound)
         measured, certificate = chain.order(), chain.certificate
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -113,6 +114,17 @@ def test_verify_work_budget_refusal_exit_four():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("refused: Schreier verification ")
+
+
+def test_spectrum_work_budget_refusal_exit_four():
+    # every denominator up to 600 divides l - 2, so the sample would hold
+    # about 220k entries; it is refused as it grows past the work limit
+    seq = str(math.lcm(*range(1, 601)) + 2)
+    code, out, err = run_cli("spectrum", "--alpha", "1/2", "--seq", seq, "--max-den", "600",
+                             "--horizon", "1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("refused: spectrum sample needs work above 100000 ")
 
 
 def test_verify_fallback_budget_exit_four(monkeypatch):
@@ -520,6 +532,35 @@ def test_branch_report_differs_from_the_chain_report_only_in_certificate(argv, c
     chain_out = out.replace('"certificate": "branch"', '"certificate": "order-bound"', 1)
     assert chain_out != out
     assert hashlib.sha256(chain_out.encode()).hexdigest() == chain_digest
+
+
+# every (sequence, level, group) and chain seed the benchmark's verify ops draw
+# from: chains certified by the order bound and by a Schreier pass, rigid
+# branch witnesses, and the (5,5,5) L3 H mismatch that exits 3
+VERIFY_CHAIN_POOLS = [
+    ("40", 1, "G", (2, 5, 6, 47, 71, 139, 195, 197)),
+    ("61", 1, "H", (43, 61, 67, 70, 109, 118, 132, 174)),
+    ("7,7", 2, "G", (18, 39, 53, 59, 92, 149, 179, 197)),
+    ("7,7", 2, "H", (54, 78, 80, 97, 110, 146, 149, 183)),
+    ("9,9", 2, "G", (4, 16, 54, 60, 120, 182, 185, 187)),
+    ("9,9", 2, "H", (18, 39, 53, 59, 92, 149, 179, 197)),
+    ("11,11", 2, "G", (67, 72, 78, 88, 131, 140, 187, 199)),
+    ("5,5,5", 3, "G", (33, 67, 98, 102, 124, 137, 141, 156)),
+    ("5,5,7", 3, "H", (1, 23, 28, 72, 95, 110, 143, 167)),
+    ("7,5,6", 3, "H", (24, 43, 83, 119, 121, 162, 173, 185)),
+    ("5,5,5", 3, "H", (1, 3, 4, 6, 13, 15, 19, 21)),
+]
+
+
+def test_verify_chain_pool_bytes_pinned():
+    digest = hashlib.sha256()
+    for seq, level, group, seeds in VERIFY_CHAIN_POOLS:
+        for seed in seeds:
+            code, out, _ = run_cli("verify", "--seq", seq, "--level", str(level),
+                                   "--group", group, "--seed", str(seed))
+            digest.update(f"{out}exit {code}\n".encode())
+    assert digest.hexdigest() == (
+        "68eb41740db956f9d5de4ffabc17965102927e64f62347e0994bf240c38800b2")
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -19,8 +19,8 @@ from spinaldim import (
     embedded_alt_generators,
     spinal_group_portraits,
 )
-from spinaldim.schreier import _inv, _is_id, _mul
-from spinaldim.wreath import exact_wreath_order, labels_in_wreath_product
+from spinaldim.perms import _inv, _is_id, _mul
+from spinaldim.wreath import _on_subtree, exact_wreath_order
 from tests.test_perms import bfs_closure
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -375,7 +375,7 @@ def _pinned_chain(seq, level, group, seed):
     portraits = spinal_group_portraits(TreeSequence(seq), level, group)
     shift = 2 if group == "H" else 0
     bound = None
-    if labels_in_wreath_product(portraits, group):
+    if _on_subtree(portraits, group) is not None:
         bound = exact_wreath_order(tuple(l - shift for l in seq))
     return StabilizerChain([p.level_permutation(level) for p in portraits], seed=seed,
                            order_bound=bound)

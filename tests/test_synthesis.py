@@ -281,6 +281,23 @@ def test_spectrum_refuses_a_horizon_outside_the_sequence():
             spectrum_sample(Fraction(1, 2), SEQ, 5, horizon)
 
 
+def test_spectrum_refuses_work_above_its_limit(monkeypatch):
+    import spinaldim.synthesis as synthesis
+
+    # the work is the denominators examined plus the entries built
+    work = 5 + len(spectrum_sample(Fraction(1, 2), SEQ, 5, 3).entries)
+    monkeypatch.setattr(synthesis, "_SPECTRUM_WORK_LIMIT", work)
+    assert len(spectrum_sample(Fraction(1, 2), SEQ, 5, 3).entries) == work - 5
+    monkeypatch.setattr(synthesis, "_SPECTRUM_WORK_LIMIT", work - 1)
+    with pytest.raises(BudgetExceeded) as err:
+        spectrum_sample(Fraction(1, 2), SEQ, 5, 3)
+    assert (err.value.required, err.value.limit) == (work, work - 1)
+    # checked as the loop runs, long before a billion denominators are examined
+    monkeypatch.setattr(synthesis, "_SPECTRUM_WORK_LIMIT", 1000)
+    with pytest.raises(BudgetExceeded, match="spectrum sample needs work above 1000"):
+        spectrum_sample(Fraction(1, 2), SEQ, 10 ** 9, 3)
+
+
 def test_spectrum_realization_witness():
     res = spectrum_sample(Fraction(2, 5), TreeSequence((5, 13, 133)), 5, 3)
     by_text = {e.text: e for e in res.entries if e.provenance == "L"}

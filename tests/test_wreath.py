@@ -27,10 +27,10 @@ from spinaldim.wreath import (
     LogOrderSums,
     _fixed,
     _on_subtree,
+    _pair_is_alternating,
     _peel_words,
     _peeled_witness,
     exact_wreath_order,
-    labels_in_wreath_product,
     log_order_sums,
 )
 
@@ -231,7 +231,7 @@ def test_report_defaults():
 @pytest.mark.parametrize("which", GROUPS)
 def test_labels_in_wreath_product_accepts_the_spinal_generators(which):
     portraits = spinal_group_portraits(TreeSequence((7, 6, 5)), 3, which)
-    assert labels_in_wreath_product(portraits, which)
+    assert _on_subtree(portraits, which) is not None
 
 
 @pytest.mark.parametrize("which", GROUPS)
@@ -239,7 +239,7 @@ def test_labels_in_wreath_product_refuses_an_odd_label(which):
     seq = TreeSequence((7, 7))
     portraits = spinal_group_portraits(seq, 2, which)
     odd = Portrait(seq, 2, {(1,): Permutation.from_cycles(7, [(1, 2)])})
-    assert not labels_in_wreath_product(portraits + [odd], which)
+    assert _on_subtree(portraits + [odd], which) is None
 
 
 def test_labels_in_wreath_product_refuses_h_label_outside_the_subtree():
@@ -248,10 +248,10 @@ def test_labels_in_wreath_product_refuses_h_label_outside_the_subtree():
     kappa, _ = embedded_alt_generators(7)
     # even and fixing 6 and 7, but at a vertex whose letter 7 exceeds l - 2 = 5
     stray = Portrait(seq, 2, {(7,): kappa})
-    assert not labels_in_wreath_product(portraits + [stray], "H")
+    assert _on_subtree(portraits + [stray], "H") is None
     # the same label below an admissible vertex keeps the bound
     inside = Portrait(seq, 2, {(5,): kappa})
-    assert labels_in_wreath_product(portraits + [inside], "H")
+    assert _on_subtree(portraits + [inside], "H") is not None
 
 
 def test_labels_in_wreath_product_refuses_h_label_moving_a_reserved_point():
@@ -259,14 +259,14 @@ def test_labels_in_wreath_product_refuses_h_label_moving_a_reserved_point():
     portraits = spinal_group_portraits(seq, 2, "H")
     tau, _ = alt_generators(7)  # the 3-cycle (5 6 7) moves 6 and 7
     moving = Portrait(seq, 2, {(1,): tau})
-    assert not labels_in_wreath_product(portraits + [moving], "H")
-    assert labels_in_wreath_product(portraits + [moving], "G")
+    assert _on_subtree(portraits + [moving], "H") is None
+    assert _on_subtree(portraits + [moving], "G") is not None
 
 
 def test_labels_in_wreath_product_refuses_an_unknown_group():
     portraits = spinal_group_portraits(TreeSequence((7, 7)), 2, "G")
     with pytest.raises(ValueError, match="group must be 'G' or 'H', got 'K'"):
-        labels_in_wreath_product(portraits, "K")
+        _on_subtree(portraits, "K")
 
 
 def test_odd_extra_generator_gets_no_order_bound(monkeypatch):
@@ -339,7 +339,7 @@ def test_h_on_its_subtree_is_g_on_the_shifted_sequence(valencies):
     # where l - 2 >= 4 the restricted kappa, rho, xi, theta labels are G's
     # tau, sigma, zeta, psi labels over l - 2, so are the level actions
     n = len(valencies)
-    h = _on_subtree(spinal_group_portraits(TreeSequence(valencies), n, "H"), 2)
+    h = _on_subtree(spinal_group_portraits(TreeSequence(valencies), n, "H"), "H")
     shifted = TreeSequence(l - 2 for l in valencies)
     g = spinal_group_portraits(shifted, n, "G")
     assert [p.seq for p in h] == [shifted] * 4
@@ -418,6 +418,29 @@ def test_bad_witness_falls_back_to_the_chain(monkeypatch, witness):
         return tuple(c)
 
     monkeypatch.setattr(wreath, "_peeled_witness", fake)
+    for valencies, n, which in [((7, 7), 2, "G"), ((5, 5, 5), 3, "G"), ((7, 7), 2, "H")]:
+        r = verify_level_action(TreeSequence(valencies), n, which)
+        assert r.certificate == "order-bound", valencies
+        assert r.match, valencies
+
+
+@pytest.mark.parametrize("l", range(4, 13))
+def test_pair_is_alternating_accepts_the_alternating_generators(l):
+    assert _pair_is_alternating(alt_generators(l))
+
+
+@pytest.mark.parametrize("pair", [
+    embedded_alt_generators(5),  # ((1 2 3), (1 2 3)): A_3 on three of five letters
+    embedded_alt_generators(7),  # A_5 on 1..5, fixing 6 and 7
+])
+def test_pair_is_alternating_refuses_a_smaller_group(pair):
+    assert not _pair_is_alternating(pair)
+
+
+def test_section_pair_refusal_falls_back_to_the_chain(monkeypatch):
+    import spinaldim.wreath as wreath
+
+    monkeypatch.setattr(wreath, "_pair_is_alternating", lambda pair: False)
     for valencies, n, which in [((7, 7), 2, "G"), ((5, 5, 5), 3, "G"), ((7, 7), 2, "H")]:
         r = verify_level_action(TreeSequence(valencies), n, which)
         assert r.certificate == "order-bound", valencies
