@@ -8,6 +8,9 @@ targets (the quotients settle on the target).
 Usage:
     python3 scripts/dimension_scan.py [--levels 20] [--targets 0.5,0.25]
             [--constants 5,7,9] [--precision 128]
+
+Exit codes as for the CLI: a bad value exits 2 (``error: ...``) and a
+refused budget exits 4 (``refused: ...``), after the blocks already printed.
 """
 
 import argparse
@@ -17,7 +20,8 @@ from fractions import Fraction
 
 from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
 
-from spinaldim import TreeSequence, _end_process, dimension_report, synthesize
+from spinaldim import BudgetExceeded, TreeSequence, _end_process, dimension_report, synthesize
+from spinaldim.errors import BUDGET_ERROR, USAGE_ERROR
 
 # alpha_n is printed as mpmath.mpf(num) / den at 53 bits: the numerator is
 # rounded, then the quotient.  One correctly rounded quotient would be no
@@ -45,15 +49,27 @@ def emit_block(tag, seq, levels, precision, digits=12):
     print()
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--levels", type=int, default=20)
     parser.add_argument("--targets", default="0.5,0.25")
     parser.add_argument("--constants", default="5,7,9")
     parser.add_argument("--precision", type=int, default=128)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     sys.set_int_max_str_digits(2_000_000)
+    try:
+        _scan(args)
+    except BudgetExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return BUDGET_ERROR
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    return 0
+
+
+def _scan(args: argparse.Namespace) -> None:
     for l in (int(x) for x in args.constants.split(",") if x):
         seq = TreeSequence((l,) * args.levels)
         emit_block(f"constant-{l}", seq, args.levels, args.precision)
@@ -62,7 +78,6 @@ def main() -> int:
         levels = min(args.levels, 14)  # minimal-strategy entries double in size
         trace = synthesize(alpha, levels)
         emit_block(f"target-{text}", trace.sequence(), levels, args.precision)
-    return 0
 
 
 if __name__ == "__main__":

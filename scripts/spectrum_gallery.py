@@ -7,6 +7,9 @@ prime factors, which thickens the realizable-denominator set.
 Usage:
     python3 scripts/spectrum_gallery.py --outdir out [--terms 4]
             [--max-den 24] [--targets 0.5,0.3]
+
+Exit codes as for the CLI: a bad value or an unwritable --outdir exits 2
+(``error: ...``) and a refused budget exits 4 (``refused: ...``).
 """
 
 import argparse
@@ -16,7 +19,8 @@ import sys
 from fractions import Fraction
 
 from spinaldim import BudgetExceeded, spectrum_sample, spectrum_svg, synthesize
-from spinaldim.cli import BUDGET_ERROR, _single_blas_thread
+from spinaldim.cli import _single_blas_thread
+from spinaldim.errors import BUDGET_ERROR, USAGE_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -32,6 +36,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return BUDGET_ERROR
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     return 0
 
 

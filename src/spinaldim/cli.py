@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, _end_process
 from .dimension import _quotient, _require_precision, dimension_report
-from .errors import BudgetExceeded
+from .errors import BUDGET_ERROR, MISMATCH_ERROR, USAGE_ERROR, BudgetExceeded
 from .portraits import GROUPS, SPINAL_KINDS, Portrait
 from .synthesis import STRATEGIES, spectrum_sample, spectrum_svg, synthesize
 from .trees import TreeSequence
@@ -29,9 +29,6 @@ from .wreath import _DEGREE_CAP, _GUARD_BITS, verify_level_action
 if TYPE_CHECKING:
     from fractions import Fraction
 
-USAGE_ERROR = 2
-MISMATCH_ERROR = 3
-BUDGET_ERROR = 4
 # parsed flags that route a run or its output rather than shape its result
 _UNECHOED = ("command", "handler", "format", "out", "svg", "timing")
 
@@ -337,7 +334,7 @@ def _cmd_spectrum(args) -> int:
             "decimal": _ratio_text(e.value, args.digits),
             "provenance": e.provenance,
             "witness": list(e.witness),
-            "realization": {"level": e.realization[0], "k": e.realization[1]}
+            "realization": {"level": e.realization[0], "k": _big(e.realization[1])}
             if e.realization
             else None,
         }

@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the exit codes the CLI and the scripts end with."""
+
+USAGE_ERROR = 2
+MISMATCH_ERROR = 3
+BUDGET_ERROR = 4
 
 
 class BudgetExceeded(RuntimeError):

@@ -4,8 +4,8 @@ The chain is built by a seeded randomized fill (product replacement) and
 then certified in one of two ways, so the final structure is exact
 regardless of what the randomized phase did:
 
-- ``"order-bound"``: the caller proved an upper bound on the group order
-  and the fill reached it.  Every transversal element is a group element,
+- ``"order-bound"``: the fill reached a proven upper bound on the order,
+  the caller's or else m!.  Every transversal element is a group element,
   so the product of the orbit lengths is a lower bound on the order; when
   it equals the upper bound the chain is complete (known-order
   Schreier-Sims, Seress, *Permutation Group Algorithms*, ch. 4).
@@ -35,6 +35,7 @@ of the level it is checking by inverting those rows.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from random import Random
 
@@ -61,10 +62,10 @@ class _Level:
 class StabilizerChain:
     """Base, transversals and strong generators for a permutation group.
 
-    ``order_bound``, when given, must be a proven upper bound on the order
-    of the generated group.  A chain that reaches it skips the verification
-    pass; a chain that exceeds it raises ValueError.  ``certificate`` names
-    the proof the chain rests on: ``"order-bound"`` or ``"schreier"``.
+    ``order_bound`` is a proven upper bound on the generated group's order,
+    m! = |S_m| for degree m unless the caller proves less.  A chain that
+    reaches it skips the verification pass; one that exceeds it raises
+    ValueError.  ``certificate`` names its proof: ``"order-bound"`` or ``"schreier"``.
     """
 
     def __init__(self, generators, seed: int = 0, order_bound: int | None = None):
@@ -79,7 +80,7 @@ class StabilizerChain:
         self._identity = tuple(range(degree))
         self._levels: list[_Level] = []
         self._rng = Random(seed)
-        self._order_bound = order_bound
+        self._order_bound = order_bound = order_bound or math.factorial(degree)
         self._verify_work = 0
         self.seed = seed
 
@@ -89,15 +90,14 @@ class StabilizerChain:
         for g in raw:
             self._add(g)
         self._randomized_fill()
-        if order_bound is not None:
-            # refill while the generators and the last fill still grew the order
-            while grown < self.order() < order_bound:
-                grown = self.order()
-                self._randomized_fill()
-            self._check_bound(order_bound)
-            if self.order() == order_bound:
-                self.certificate = "order-bound"
-                return
+        # refill while the generators and the last fill still grew the order
+        while grown < self.order() < order_bound:
+            grown = self.order()
+            self._randomized_fill()
+        self._check_bound(order_bound)
+        if self.order() == order_bound:
+            self.certificate = "order-bound"
+            return
         self.certificate = "schreier"
         while True:
             witnesses = self._verify_pass()
@@ -106,8 +106,7 @@ class StabilizerChain:
             for w in witnesses:
                 self._add(w)
             self._randomized_fill()
-        if order_bound is not None:
-            self._check_bound(order_bound)
+        self._check_bound(order_bound)
 
     # -- queries ---------------------------------------------------------
 
@@ -212,7 +211,7 @@ class StabilizerChain:
         """
         bound = self._order_bound
         gens = [g for g, _ in self._pairs_at(0)]
-        if not gens or (bound is not None and self.order() == bound):
+        if not gens or self.order() == bound:
             return
         slots = gens + [self._identity] * 3
         stall = 0
@@ -229,7 +228,7 @@ class StabilizerChain:
                 other = _inv(other)
             slots[i] = _mul(slots[i], other)
             if self._add(slots[i]):
-                if bound is not None and self.order() == bound:
+                if self.order() == bound:
                     return
                 stall = 0
             else:

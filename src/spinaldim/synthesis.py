@@ -30,7 +30,8 @@ if TYPE_CHECKING:
 
 _MAX_ENTRY_DIGITS = 100_000
 _SCAN_CAP = 2_000_000
-# largest work, denominators examined plus entries built, of one spectrum sample
+# largest work, denominators examined plus entries built plus the 64-bit words
+# beyond the first of each realization's m_n, of one spectrum sample
 _SPECTRUM_WORK_LIMIT = 100_000
 
 
@@ -229,7 +230,7 @@ def _charge_spectrum(work: int) -> None:
     if work > _SPECTRUM_WORK_LIMIT:
         raise BudgetExceeded(
             f"spectrum sample needs work above {_SPECTRUM_WORK_LIMIT} (denominators examined "
-            "plus entries built); lower the max denominator or the horizon",
+            "plus entries built plus realization words); lower the max denominator or the horizon",
             required=work,
             limit=_SPECTRUM_WORK_LIMIT,
         )
@@ -247,7 +248,9 @@ def spectrum_sample(
     q*m_n is an integer exactly when b divides m_n, so the realization
     level is also found once per b.  The work, denominators examined plus
     entries built, is checked as it grows: above _SPECTRUM_WORK_LIMIT the
-    sample is refused with BudgetExceeded.
+    sample is refused with BudgetExceeded.  A realization k = a m_n / b is
+    about as long as m_n, so each one also adds the 64-bit words of m_n
+    beyond the first.
     """
     from fractions import Fraction
 
@@ -259,8 +262,9 @@ def spectrum_sample(
     if not 0 <= horizon <= len(seq):
         raise ValueError(f"horizon must lie in 0..{len(seq)}")
     entries: list[SpectrumEntry] = []
+    words = 0  # realization words charged so far
     for b in range(1, max_denominator + 1):
-        _charge_spectrum(b + len(entries))
+        _charge_spectrum(b + len(entries) + words)
         res = denominator_witness(Fraction(1, b), seq, horizon)
         if not res.found:
             continue
@@ -270,10 +274,13 @@ def spectrum_sample(
             if m_n % b == 0:
                 level = n
                 break
+        extra_words = (m_n.bit_length() - 1) // 64 if level else 0
         for a in range(0, b + 1):
             if math.gcd(a, b) != 1:
                 continue
-            _charge_spectrum(b + len(entries) + 2)
+            if a:
+                words += extra_words
+            _charge_spectrum(b + len(entries) + 2 + words)
             q = Fraction(a, b)
             entries.append(
                 SpectrumEntry(

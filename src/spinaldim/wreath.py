@@ -11,8 +11,8 @@ dimension and envelope code divides, so each level reads its logs off
 prefix sums.  The logs of each distinct valency are evaluated and rounded
 once per pass; the sums of them are exact integers at a fixed binary scale.
 ``verify_level_action`` checks that a group's four generators really
-produce a group of that order at desk scale.  When their labels prove the
-closed form is an upper bound, the group preserves the subtree of letters
+produce a group of that order at desk scale.  Their labels prove the
+closed form is an upper bound: the group preserves the subtree of letters
 <= l_i - s and acts on it faithfully, so the order is counted there, on
 m'_n points, as G's construction over the valencies l_i - s.  In the
 branch domain, where the section group A_{l-s} of every level below the
@@ -21,7 +21,7 @@ level (the rigid-stabilizer argument for branch groups: Bartholdi,
 Grigorchuk and Sunic, "Branch groups", 2003).  Everywhere else, and
 whenever a branch check fails, a stabilizer chain on the subtree's level
 is the independent counter, certified by reaching the bound or else by a
-Schreier pass.  Labels that prove no bound get a chain on the whole level.
+Schreier pass.
 """
 
 from __future__ import annotations
@@ -284,19 +284,18 @@ def _peeled_witness(images: list[tuple[int, ...]],
     return c
 
 
-def _on_subtree(portraits: list[Portrait], which: str) -> list[Portrait] | None:
+def _on_subtree(portraits: list[Portrait], which: str) -> list[Portrait]:
     """The portraits on the subtree of letters <= l_i - s, as portraits over (l_i - s).
 
-    With s the shift of ``which``, the labels prove the closed form bounds
-    the generated level action when every label is even and fixes the
-    letters above l - s, and only vertices whose letters are all <= l_i - s
-    carry labels.  The group then preserves the subtree, moves a vertex only
-    through its prefix inside it, and so acts on level n as a subgroup of
-    the iterated wreath product of the A_{l_i - s}.  Each label keeps its
-    first l - s images, and an element trivial on the subtree is trivial:
-    the restriction is faithful, with the same level orders.  For G (s = 0)
-    only the evenness says anything.  Returns None when a label proves no
-    bound.
+    With s the shift of ``which``, the invariant is that every label is even
+    and fixes the letters above l - s, and only vertices whose letters are
+    all <= l_i - s carry labels; every ``GROUPS`` row keeps it, and a label
+    that breaks it raises RuntimeError.  The group then preserves the
+    subtree, moves a vertex only through its prefix inside it, and so acts
+    on level n as a subgroup of the iterated wreath product of the
+    A_{l_i - s}.  Each label keeps its first l - s images, and an element
+    trivial on the subtree is trivial: the restriction is faithful, with the
+    same level orders.  For G (s = 0) only the evenness says anything.
     """
     shift = _group(which)[2]
     depth = portraits[0].depth
@@ -306,10 +305,10 @@ def _on_subtree(portraits: list[Portrait], which: str) -> list[Portrait] | None:
         labels = {}
         for v, perm in p.labels.items():
             top = perm.degree - shift  # the letters above top stay fixed
-            if not perm.is_even() or perm.images[top:] != tuple(range(top + 1, perm.degree + 1)):
-                return None
-            if any(x > p.seq[i] - shift for i, x in enumerate(v)):
-                return None
+            if (not perm.is_even() or perm.images[top:] != tuple(range(top + 1, perm.degree + 1))
+                    or any(x > p.seq[i] - shift for i, x in enumerate(v))):
+                raise RuntimeError(f"label at {v} is odd or leaves the subtree of letters "
+                                   f"<= l - {shift}; this contradicts the {which} generators")
             labels[v] = Permutation(perm.images[:top])
         out.append(Portrait(sub, depth, labels))
     return out
@@ -384,15 +383,14 @@ def verify_level_action(
 ) -> LevelActionReport:
     """Compare the generated level-n action against the closed-form order.
 
-    When the labels prove the closed form bounds the order (``_on_subtree``),
-    it is counted on the m'_n points of their subtree: in the branch domain
-    of ``_branch_certifies`` (n >= 2, l_0 - s >= 4 and l_k - s >= 5 for
+    The labels bound the order by the closed form (``_on_subtree``), so it
+    is counted on the m'_n points of their subtree: in the branch domain of
+    ``_branch_certifies`` (n >= 2, l_0 - s >= 4 and l_k - s >= 5 for
     0 < k < n) rigid witnesses certify measured = expected, certificate
     ``"branch"``; otherwise, or when a branch check fails, a chain counts
     it, ``"order-bound"`` when it reaches the bound and ``"schreier"`` when
-    an exhaustive pass certifies less.  Labels that prove no bound get a
-    ``"schreier"`` chain on all m_n points.  ``degree`` is m_n either way,
-    and ``degree_cap`` applies to it.
+    an exhaustive pass certifies less.  ``degree`` is m_n, and
+    ``degree_cap`` applies to it.
     """
     if degree_cap < 1:
         raise ValueError(f"degree cap must be at least 1, got {degree_cap}")
@@ -410,14 +408,12 @@ def verify_level_action(
     if shift:
         _require_subgroup_side(seq, n)
     expected = exact_wreath_order(tuple(l - shift for l in seq.valencies[:n]))
-    full = spinal_group_portraits(seq, n, which)
-    portraits = _on_subtree(full, which)
-    if portraits is not None and _branch_certifies(portraits, n):
+    portraits = _on_subtree(spinal_group_portraits(seq, n, which), which)
+    if _branch_certifies(portraits, n):
         measured, certificate = expected, "branch"
     else:
-        bound = None if portraits is None else expected
-        images = [p.level_permutation(n) for p in portraits or full]
-        chain = StabilizerChain(images, seed=seed, order_bound=bound)
+        chain = StabilizerChain([p.level_permutation(n) for p in portraits], seed=seed,
+                                order_bound=expected)
         measured, certificate = chain.order(), chain.certificate
     elapsed = (time.perf_counter() - start) * 1000.0
     return LevelActionReport(

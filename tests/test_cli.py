@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -124,6 +125,19 @@ def test_spectrum_work_budget_refusal_exit_four():
                              "--horizon", "1")
     assert code == 4
     assert out == ""
+    assert err.startswith("refused: spectrum sample needs work above 100000 ")
+
+
+def test_spectrum_charges_the_words_of_each_realization():
+    # L = lcm(1..100)^30: every b <= 100 divides L, so the sample holds
+    # about 6,200 entries, well inside the limit, but 3,044 realizations of
+    # 2 * 4,080 bits; charged by their 64-bit words, it is refused at once
+    big = math.lcm(*range(1, 101)) ** 30
+    start = time.perf_counter()
+    code, out, err = run_cli("spectrum", "--alpha", "1/2", "--seq", f"{big + 2},{big}",
+                             "--max-den", "100", "--horizon", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (4, "")
     assert err.startswith("refused: spectrum sample needs work above 100000 ")
 
 
@@ -604,15 +618,26 @@ def test_spectrum_gallery_script(tmp_path):
     assert (tmp_path / "spectrum_1_2.svg").read_text().startswith("<svg")
 
 
-def test_spectrum_gallery_refuses_over_budget(tmp_path, monkeypatch):
+def _script(name):
     import importlib.util
 
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_script(name, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = _script(name).main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_spectrum_gallery_refuses_over_budget(tmp_path, monkeypatch):
     import spinaldim.synthesis as synthesis
 
-    spec = importlib.util.spec_from_file_location(
-        "spectrum_gallery", ROOT / "scripts" / "spectrum_gallery.py")
-    gallery = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gallery)
+    gallery = _script("spectrum_gallery")
     monkeypatch.setattr(synthesis, "_SCAN_CAP", 20)
     err = io.StringIO()
     with redirect_stderr(err):
@@ -620,6 +645,33 @@ def test_spectrum_gallery_refuses_over_budget(tmp_path, monkeypatch):
     assert code == cli.BUDGET_ERROR == 4
     assert err.getvalue().startswith("refused: prime-rich scan over ")
     assert "exceeds cap 20" in err.getvalue()
+
+
+def test_spectrum_gallery_reports_a_bad_target(tmp_path):
+    code, out, err = _run_script("spectrum_gallery", ["--outdir", str(tmp_path), "--targets", "x"])
+    assert (code, out, err) == (2, "", "error: Invalid literal for Fraction: 'x'\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--constants", "4", "--levels", "3", "--targets", ""],
+     "error: valency 4 < 5; the shifted side needs l - 2 >= 3\n"),
+    (["--constants", "", "--levels", "3", "--targets", "abc"],
+     "error: Invalid literal for Fraction: 'abc'\n"),
+])
+def test_dimension_scan_reports_a_bad_value(argv, err):
+    assert _run_script("dimension_scan", argv) == (2, "", err)
+
+
+def test_dimension_scan_refuses_over_budget(monkeypatch):
+    import spinaldim.synthesis as synthesis
+
+    # the constant block is printed before the target's synthesis is refused
+    monkeypatch.setattr(synthesis, "_MAX_ENTRY_DIGITS", 2)
+    code, out, err = _run_script("dimension_scan",
+                                 ["--constants", "5", "--levels", "3", "--targets", "1/2"])
+    assert code == 4
+    assert out.startswith("# family=constant-5 ") and "target" not in out
+    assert err.startswith("refused: ") and err.count("\n") == 1
 
 
 # A cold `python -m spinaldim.cli` or `python scripts/dimension_scan.py` ends
@@ -668,6 +720,8 @@ def _exit_handler(body):
      "refused: level 3 action has degree 125 > cap 100\n"),
     ("scripts/dimension_scan.py --levels 3 --constants 5 --targets=", 0,
      "fb22fdfdc7ebebc7549266966bf55fdd1dac0713d9f1b643a2639860d9fa7db3", ""),
+    ("scripts/dimension_scan.py --levels 3 --constants 4 --targets=", 2, EMPTY_SHA256,
+     "error: valency 4 < 5; the shifted side needs l - 2 >= 3\n"),
 ])
 def test_cold_run_keeps_its_code_bytes_and_exit_handlers(tmp_path, argv, code, out_digest, err):
     marker = tmp_path / "handler-ran"

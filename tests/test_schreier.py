@@ -20,7 +20,7 @@ from spinaldim import (
     spinal_group_portraits,
 )
 from spinaldim.perms import _inv, _is_id, _mul
-from spinaldim.wreath import _on_subtree, exact_wreath_order
+from spinaldim.wreath import exact_wreath_order
 from tests.test_perms import bfs_closure
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -149,6 +149,22 @@ def test_order_bound_above_true_order_falls_back():
     assert chain.order() == 60
     assert chain.certificate == "schreier"
     assert StabilizerChain([tau, sigma]).certificate == "schreier"
+
+
+def test_unbounded_chain_takes_the_symmetric_group_order_as_its_bound(monkeypatch):
+    # without a caller's bound the chain takes m! = |S_m|: S_5 reaches it
+    # and skips the pass, A_5 stops below it and is certified by the pass
+    tau, sigma = alt_generators(5)
+    swap = Permutation.from_cycles(5, [(1, 2)])
+    passes = []
+    verify_pass = StabilizerChain._verify_pass
+    monkeypatch.setattr(StabilizerChain, "_verify_pass",
+                        lambda self: passes.append(self.order()) or verify_pass(self))
+    s5 = StabilizerChain([tau, sigma, swap])
+    assert (s5.order(), s5.certificate, passes) == (120, "order-bound", [])
+    a5 = StabilizerChain([tau, sigma])
+    assert (a5.order(), a5.certificate) == (60, "schreier")
+    assert passes == [60]
 
 
 @pytest.mark.parametrize("bound", [1, 30, 59])
@@ -374,11 +390,8 @@ def test_mul_and_is_id_match_generator_versions(pair):
 def _pinned_chain(seq, level, group, seed):
     portraits = spinal_group_portraits(TreeSequence(seq), level, group)
     shift = 2 if group == "H" else 0
-    bound = None
-    if _on_subtree(portraits, group) is not None:
-        bound = exact_wreath_order(tuple(l - shift for l in seq))
     return StabilizerChain([p.level_permutation(level) for p in portraits], seed=seed,
-                           order_bound=bound)
+                           order_bound=exact_wreath_order(tuple(l - shift for l in seq)))
 
 
 # Chains recorded with the generator-expression composition and the list

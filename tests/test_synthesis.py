@@ -298,6 +298,25 @@ def test_spectrum_refuses_work_above_its_limit(monkeypatch):
         spectrum_sample(Fraction(1, 2), SEQ, 10 ** 9, 3)
 
 
+def test_spectrum_charges_realization_words_beyond_the_first(monkeypatch):
+    import spinaldim.synthesis as synthesis
+
+    # m_1 = L + 2 fits one 64-bit word, m_2 = (L + 2) L needs two, so each
+    # realization at level 2 adds one unit to the work
+    big = math.lcm(*range(1, 11)) ** 5
+    seq = TreeSequence((big + 2, big))
+    entries = spectrum_sample(Fraction(1, 2), seq, 10, 1).entries
+    level_two = sum(1 for e in entries if e.realization and e.realization[0] == 2)
+    assert level_two > 0
+    work = 10 + len(entries) + level_two
+    monkeypatch.setattr(synthesis, "_SPECTRUM_WORK_LIMIT", work)
+    assert spectrum_sample(Fraction(1, 2), seq, 10, 1).entries == entries
+    monkeypatch.setattr(synthesis, "_SPECTRUM_WORK_LIMIT", work - 1)
+    with pytest.raises(BudgetExceeded) as err:
+        spectrum_sample(Fraction(1, 2), seq, 10, 1)
+    assert (err.value.required, err.value.limit) == (work, work - 1)
+
+
 def test_spectrum_realization_witness():
     res = spectrum_sample(Fraction(2, 5), TreeSequence((5, 13, 133)), 5, 3)
     by_text = {e.text: e for e in res.entries if e.provenance == "L"}

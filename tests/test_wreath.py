@@ -239,7 +239,8 @@ def test_labels_in_wreath_product_refuses_an_odd_label(which):
     seq = TreeSequence((7, 7))
     portraits = spinal_group_portraits(seq, 2, which)
     odd = Portrait(seq, 2, {(1,): Permutation.from_cycles(7, [(1, 2)])})
-    assert _on_subtree(portraits + [odd], which) is None
+    with pytest.raises(RuntimeError, match=r"label at \(1,\) is odd or leaves the subtree"):
+        _on_subtree(portraits + [odd], which)
 
 
 def test_labels_in_wreath_product_refuses_h_label_outside_the_subtree():
@@ -248,7 +249,8 @@ def test_labels_in_wreath_product_refuses_h_label_outside_the_subtree():
     kappa, _ = embedded_alt_generators(7)
     # even and fixing 6 and 7, but at a vertex whose letter 7 exceeds l - 2 = 5
     stray = Portrait(seq, 2, {(7,): kappa})
-    assert _on_subtree(portraits + [stray], "H") is None
+    with pytest.raises(RuntimeError, match="contradicts the H generators"):
+        _on_subtree(portraits + [stray], "H")
     # the same label below an admissible vertex keeps the bound
     inside = Portrait(seq, 2, {(5,): kappa})
     assert _on_subtree(portraits + [inside], "H") is not None
@@ -259,7 +261,8 @@ def test_labels_in_wreath_product_refuses_h_label_moving_a_reserved_point():
     portraits = spinal_group_portraits(seq, 2, "H")
     tau, _ = alt_generators(7)  # the 3-cycle (5 6 7) moves 6 and 7
     moving = Portrait(seq, 2, {(1,): tau})
-    assert _on_subtree(portraits + [moving], "H") is None
+    with pytest.raises(RuntimeError, match="letters <= l - 2"):
+        _on_subtree(portraits + [moving], "H")
     assert _on_subtree(portraits + [moving], "G") is not None
 
 
@@ -277,11 +280,24 @@ def test_odd_extra_generator_gets_no_order_bound(monkeypatch):
     spinal = wreath.spinal_group_portraits
     monkeypatch.setattr(wreath, "spinal_group_portraits",
                         lambda *args: spinal(*args) + [swap])
-    # a root transposition turns A_5 wr A_5 into S_5 acting on A_5^5
-    r = verify_level_action(seq, 2, "G")
-    assert r.certificate == "schreier"
-    assert r.measured == 2 * r.expected == 2 * 60 ** 6
-    assert not r.match
+    # a root transposition would turn A_5 wr A_5 into S_5 acting on A_5^5,
+    # beyond the closed form; no GROUPS row makes one, so verify refuses it
+    with pytest.raises(RuntimeError, match=r"label at \(\) is odd"):
+        verify_level_action(seq, 2, "G")
+
+
+@pytest.mark.parametrize("which", GROUPS)
+def test_every_group_row_keeps_the_subtree_invariant(which):
+    # constant and mixed valencies from the least each row admits (4 for G,
+    # 5 for H) up to 40
+    shift = GROUPS[which][2]
+    low = 4 + shift // 2
+    for l in range(low, 41):
+        for valencies in ((l,) * 3, (l, 40 + low - l, l)):
+            for depth in (1, 2, 3):
+                portraits = spinal_group_portraits(TreeSequence(valencies), depth, which)
+                assert [p.seq.valencies for p in _on_subtree(portraits, which)] == [
+                    tuple(x - shift for x in valencies[:depth])] * 4
 
 
 # the generated H is smaller than the closed form here (A_3 and A_4 are not
