@@ -9,19 +9,20 @@ Usage:
     python3 scripts/dimension_scan.py [--levels 20] [--targets 0.5,0.25]
             [--constants 5,7,9] [--precision 128]
 
-Exit codes as for the CLI: a bad value exits 2 (``error: ...``) and a
-refused budget exits 4 (``refused: ...``), after the blocks already printed.
+Exit codes as for the CLI, through ``spinaldim.errors.exit_code``: a bad
+value or an output that cannot be written exits 2 (``error: ...``) and a
+refused budget, a --precision above 4096 bits included, exits 4
+(``refused: ...``), after the blocks already printed.
 """
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
 from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
 
-from spinaldim import BudgetExceeded, TreeSequence, _end_process, dimension_report, synthesize
-from spinaldim.errors import BUDGET_ERROR, USAGE_ERROR
+from spinaldim import TreeSequence, _end_process, dimension_report, synthesize
+from spinaldim.errors import exit_code
 
 # alpha_n is printed as mpmath.mpf(num) / den at 53 bits: the numerator is
 # rounded, then the quotient.  One correctly rounded quotient would be no
@@ -58,15 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sys.set_int_max_str_digits(2_000_000)
-    try:
-        _scan(args)
-    except BudgetExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return BUDGET_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return 0
+    return exit_code(_scan, args)
 
 
 def _scan(args: argparse.Namespace) -> None:
@@ -81,8 +74,4 @@ def _scan(args: argparse.Namespace) -> None:
 
 
 if __name__ == "__main__":
-    code = main()
-    # the line names the scan by sys.argv[0] unless a runner has run this file's code
-    if os.path.realpath(sys.argv[0]) == os.path.realpath(__file__):
-        _end_process(code, sys.argv[0])
-    sys.exit(code)
+    _end_process(main(), sys.argv[0])

@@ -8,8 +8,9 @@ Usage:
     python3 scripts/spectrum_gallery.py --outdir out [--terms 4]
             [--max-den 24] [--targets 0.5,0.3]
 
-Exit codes as for the CLI: a bad value or an unwritable --outdir exits 2
-(``error: ...``) and a refused budget exits 4 (``refused: ...``).
+Exit codes as for the CLI, through ``spinaldim.errors.exit_code``: a bad
+value, an unwritable --outdir or stdout exits 2 (``error: ...``) and a
+refused budget exits 4 (``refused: ...``).
 """
 
 import argparse
@@ -18,9 +19,9 @@ import pathlib
 import sys
 from fractions import Fraction
 
-from spinaldim import BudgetExceeded, spectrum_sample, spectrum_svg, synthesize
+from spinaldim import _end_process, spectrum_sample, spectrum_svg, synthesize
 from spinaldim.cli import _single_blas_thread
-from spinaldim.errors import BUDGET_ERROR, USAGE_ERROR
+from spinaldim.errors import exit_code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -31,15 +32,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-den", type=int, default=24)
     parser.add_argument("--targets", default="0.5,0.3")
     args = parser.parse_args(argv)
-    try:
-        _write_gallery(args)
-    except BudgetExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return BUDGET_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return 0
+    return exit_code(_write_gallery, args)
 
 
 def _write_gallery(args: argparse.Namespace) -> None:
@@ -71,4 +64,4 @@ def _write_gallery(args: argparse.Namespace) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    _end_process(main(), sys.argv[0])

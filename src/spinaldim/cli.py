@@ -19,8 +19,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__, _end_process
-from .dimension import _quotient, _require_precision, dimension_report
-from .errors import BUDGET_ERROR, MISMATCH_ERROR, USAGE_ERROR, BudgetExceeded
+from .dimension import _MAX_PRECISION, _quotient, _require_precision, dimension_report
+from .errors import MISMATCH_ERROR, USAGE_ERROR, BudgetExceeded, exit_code
 from .portraits import GROUPS, SPINAL_KINDS, Portrait
 from .synthesis import STRATEGIES, spectrum_sample, spectrum_svg, synthesize
 from .trees import TreeSequence
@@ -53,11 +53,21 @@ def _nstr(x, digits: int) -> str:
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 
+def _digits_precision(digits: int) -> int:
+    """The bits ``_ratio_text`` works at for ``digits``, refused above the ceiling."""
+    prec = max(53, math.ceil(digits * math.log2(10)) + _GUARD_BITS)
+    if prec > _MAX_PRECISION:
+        raise BudgetExceeded(
+            f"--digits {digits} needs {prec} bits, above the {_MAX_PRECISION}-bit ceiling",
+            required=prec, limit=_MAX_PRECISION)
+    return prec
+
+
 def _ratio_text(q: Fraction, digits: int) -> str:
     """``q`` >= 0 to ``digits`` significant digits, rounded once to guard bits beyond them."""
     import mpmath
 
-    prec = max(53, math.ceil(digits * math.log2(10)) + _GUARD_BITS)
+    prec = _digits_precision(digits)
     return _nstr(mpmath.mp.make_mpf(_quotient(q.numerator, q.denominator, prec)), digits)
 
 
@@ -234,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    _digits_precision(args.digits)
     trace = synthesize(args.alpha, args.terms, args.strategy)
     if args.format == "json":
         doc = _echo(args)
@@ -326,6 +337,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    _digits_precision(args.digits)
     result = spectrum_sample(args.alpha, args.seq, args.max_den, args.horizon)
     doc = _echo(args)
     doc["entries"] = [
@@ -377,14 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
-        return args.handler(args)
-    except BudgetExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return BUDGET_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    return exit_code(args.handler, args)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, NamedTuple
 
+from .errors import BudgetExceeded
 from .trees import TreeSequence
 from .wreath import _GUARD_BITS, _require_subgroup_side, log_order_sums
 
@@ -46,11 +47,17 @@ if TYPE_CHECKING:
     from mpmath import mpf
 
 _MIN_PRECISION = 64
+# a bound on the time of one row's logs and quotients: 4096 bits is about 1233 digits
+_MAX_PRECISION = 1 << 12
 
 
 def _require_precision(precision_bits: int) -> None:
     if precision_bits < _MIN_PRECISION:
         raise ValueError(f"precision {precision_bits} below the {_MIN_PRECISION}-bit floor")
+    if precision_bits > _MAX_PRECISION:
+        raise BudgetExceeded(
+            f"precision {precision_bits} above the {_MAX_PRECISION}-bit ceiling",
+            required=precision_bits, limit=_MAX_PRECISION)
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,4 +1,7 @@
-"""Shared exception types, and the exit codes the CLI and the scripts end with."""
+"""Shared exception types, the exit codes the CLI and the scripts end with,
+and ``exit_code``, which turns a run's refusals and bad values into them."""
+
+import sys
 
 USAGE_ERROR = 2
 MISMATCH_ERROR = 3
@@ -20,3 +23,21 @@ class BudgetExceeded(RuntimeError):
 
 class DegreeCapExceeded(BudgetExceeded):
     """A permutation action would exceed the configured degree cap."""
+
+
+def exit_code(work, *args) -> int:
+    """The exit status of ``work(*args)``: its value, with None read as 0.
+
+    A refused budget prints ``refused: ...`` to stderr and gives
+    BUDGET_ERROR; a bad value (ValueError) or an output that cannot be
+    written (OSError) prints ``error: ...`` and gives USAGE_ERROR.
+    """
+    try:
+        code = work(*args)
+    except BudgetExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return BUDGET_ERROR
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    return 0 if code is None else code

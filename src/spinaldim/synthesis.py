@@ -160,11 +160,11 @@ def synthesize(alpha: Fraction, terms: int, strategy: str = "minimal") -> Synthe
     p_prev = Fraction(1)
     for i in range(terms):
         lo, hi = window(alpha, p_prev)
-        if (lo.bit_length() * 0.302) > _MAX_ENTRY_DIGITS:
+        digits = lo.bit_length() * 0.302
+        if digits > _MAX_ENTRY_DIGITS:
             raise BudgetExceeded(
-                f"entry {i} needs about {int(lo.bit_length() * 0.302)} digits "
-                f"(budget {_MAX_ENTRY_DIGITS})",
-                required=lo.bit_length(),
+                f"entry {i} needs about {int(digits)} digits (budget {_MAX_ENTRY_DIGITS})",
+                required=int(digits),
                 limit=_MAX_ENTRY_DIGITS,
             )
         l = pick(lo, hi)

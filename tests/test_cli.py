@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spinaldim.cli as cli
+from spinaldim import errors
 from spinaldim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -642,7 +644,7 @@ def test_spectrum_gallery_refuses_over_budget(tmp_path, monkeypatch):
     err = io.StringIO()
     with redirect_stderr(err):
         code = gallery.main(["--outdir", str(tmp_path), "--terms", "6", "--targets", "1/2"])
-    assert code == cli.BUDGET_ERROR == 4
+    assert code == errors.BUDGET_ERROR == 4
     assert err.getvalue().startswith("refused: prime-rich scan over ")
     assert "exceeds cap 20" in err.getvalue()
 
@@ -674,7 +676,67 @@ def test_dimension_scan_refuses_over_budget(monkeypatch):
     assert err.startswith("refused: ") and err.count("\n") == 1
 
 
-# A cold `python -m spinaldim.cli` or `python scripts/dimension_scan.py` ends
+class _FullStdout(io.StringIO):
+    """A stdout whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+WRITE_FAILED = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+GALLERY = "scripts/spectrum_gallery.py"
+GALLERY_ARGS = "--outdir {out} --terms 3 --max-den 6 --targets 1/2"
+
+
+@pytest.mark.parametrize("name, argv, full_stdout, code, err", [
+    ("cli", "verify --seq 5,5,5 --level 3 --cap 100", False, 4,
+     "refused: level 3 action has degree 125 > cap 100\n"),
+    ("dimension_scan", "--levels 3 --constants 5 --targets= --precision 4097", False, 4,
+     "refused: precision 4097 above the 4096-bit ceiling\n"),
+    ("spectrum_gallery", "--outdir {out} --terms 3 --max-den 1000000 --targets 1/2", False, 4,
+     "refused: spectrum sample needs work above 100000 "),
+    ("cli", "dim --alpha 1/2 --terms 2 --levels 3", False, 2,
+     "error: levels cannot exceed terms\n"),
+    ("dimension_scan", "--levels 3 --constants= --targets=abc", False, 2,
+     "error: Invalid literal for Fraction: 'abc'\n"),
+    ("spectrum_gallery", "--outdir {out} --targets=x", False, 2,
+     "error: Invalid literal for Fraction: 'x'\n"),
+    ("cli", "verify --seq 5,5 --level 2", True, 2, WRITE_FAILED),
+    ("dimension_scan", "--levels 3 --constants 5 --targets=", True, 2, WRITE_FAILED),
+    ("spectrum_gallery", GALLERY_ARGS, True, 2, WRITE_FAILED),
+])
+def test_every_entry_point_ends_through_one_exit_policy(tmp_path, name, argv, full_stdout,
+                                                        code, err):
+    # a refused budget exits 4, a bad value or a failed write exits 2, each
+    # with one stderr line
+    run = main if name == "cli" else _script(name).main
+    out, err_got = _FullStdout() if full_stdout else io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err_got):
+        got = run(argv.format(out=tmp_path / "out").split())
+    assert got == code
+    assert err_got.getvalue().startswith(err) and err_got.getvalue().count("\n") == 1
+    if not full_stdout:
+        assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize("template, at, over, err", [
+    ("dim --alpha 1/2 --terms 3 --levels 3 --precision {}", 4096, 4097,
+     "refused: precision 4097 above the 4096-bit ceiling\n"),
+    ("synth --alpha 1/3 --terms 3 --digits {}", 1223, 1224,
+     "refused: --digits 1224 needs 4099 bits, above the 4096-bit ceiling\n"),
+    ("spectrum --alpha 1/2 --seq 5,7,9 --max-den 6 --horizon 3 --digits {}", 1223, 1224,
+     "refused: --digits 1224 needs 4099 bits, above the 4096-bit ceiling\n"),
+])
+def test_working_precision_has_a_ceiling(template, at, over, err):
+    start = time.perf_counter()
+    refused = run_cli(*template.format(over).split())
+    assert time.perf_counter() - start < 1.0
+    assert refused == (4, "", err)
+    code, out, err_got = run_cli(*template.format(at).split())
+    assert (code, err_got) == (0, "") and out
+
+
+# A cold `python -m spinaldim.cli` or `python scripts/<script>.py` ends
 # through spinaldim._end_process (flush, exit handlers, os._exit); the codes
 # and bytes below are those of the plain `sys.exit(main())` ending.
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
@@ -827,8 +889,10 @@ SCAN = "scripts/dimension_scan.py"
 @pytest.mark.parametrize("argv, torn_down", [
     ("-m spinaldim.cli --version", False),
     (SCAN + " --levels 2 --constants 5 --targets=", False),
+    (GALLERY + " " + GALLERY_ARGS, False),
     ("-u -m spinaldim.cli --version", True),  # any interpreter option: the normal exit
     ("-u " + SCAN + " --levels 2 --constants 5 --targets=", True),
+    ("-u " + GALLERY + " " + GALLERY_ARGS, True),
 ])
 def test_teardown_is_skipped_only_on_the_bare_command_line(tmp_path, argv, torn_down):
     # a module global whose finaliser runs only when the interpreter tears down
@@ -838,7 +902,7 @@ def test_teardown_is_skipped_only_on_the_bare_command_line(tmp_path, argv, torn_
         "    def __del__(self):\n"
         "        sys.stderr.write('torn down\\n')\n\n\n"
         "_kept = _Teardown()\n"))
-    proc = _cold(argv.split(), site_dir)
+    proc = _cold(argv.format(out=tmp_path / "out").split(), site_dir)
     assert proc.returncode == 0
     assert proc.stderr == (b"torn down\n" if torn_down else b"")
 
@@ -855,6 +919,8 @@ def test_teardown_is_skipped_only_on_the_bare_command_line(tmp_path, argv, torn_
     # perfbench's layers.py runs the scan through runpy.run_path
     (["py", "perfbench/layers.py", "S.json", SCAN], [SCAN], (SCAN,), False),
     (["py", "runner.py", "a"], [SCAN, "a"], (SCAN,), False),
+    (["py", GALLERY, "a"], [GALLERY, "a"], (GALLERY,), True),
+    (["py", GALLERY, "a"], [GALLERY, "a"], (SCAN,), False),
 ])
 def test_started_on_needs_the_entry_and_its_arguments(monkeypatch, orig_argv, argv, entry,
                                                       started):

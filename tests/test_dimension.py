@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinaldim import (
+    BudgetExceeded,
     TreeSequence,
     alpha_target,
     chain_rule_table,
@@ -15,7 +16,7 @@ from spinaldim import (
     rigid_product_partial,
     synthesize,
 )
-from spinaldim.dimension import EnvelopeRow
+from spinaldim.dimension import _MAX_PRECISION, EnvelopeRow
 from spinaldim.wreath import _GUARD_BITS
 
 CONST5 = TreeSequence((5,) * 40)
@@ -45,6 +46,20 @@ def test_level_zero_is_rejected():
 def test_precision_floor():
     with pytest.raises(ValueError):
         partial_dimension(CONST5, 1, precision_bits=32)
+
+
+def test_precision_ceiling_refuses_before_any_work():
+    g, h, k = (TreeSequence((l,) * 4) for l in (9, 7, 5))
+    over = _MAX_PRECISION + 1
+    message = "^precision 4097 above the 4096-bit ceiling$"
+    for call in (lambda: partial_dimension(CONST5, 1, over),
+                 lambda: dimension_report(CONST5, 3, over),
+                 lambda: chain_rule_table(g, h, k, 2, over),
+                 lambda: rigid_product_partial(CONST5, 1, 2, 3, over)):
+        with pytest.raises(BudgetExceeded, match=message) as err:
+            call()
+        assert (err.value.required, err.value.limit) == (4097, 4096)
+    assert partial_dimension(CONST5, 1, _MAX_PRECISION).n == 1
 
 
 def test_alpha_target_values():

@@ -195,6 +195,15 @@ def test_prime_rich_draws_from_same_window_as_minimal():
         assert step.l == step.window_lo
 
 
+def test_entry_digit_refusal_counts_digits_in_required():
+    # required is the digit estimate the message prints, not the entry's bits
+    with pytest.raises(BudgetExceeded) as err:
+        synthesize(Fraction(1, 3), 64)
+    assert str(err.value) == "entry 19 needs about 187118 digits (budget 100000)"
+    assert (err.value.required, err.value.limit) == (187118, 100000)
+    assert err.value.required > err.value.limit
+
+
 def test_prime_rich_scan_cap(monkeypatch):
     import spinaldim.synthesis as synthesis
 
