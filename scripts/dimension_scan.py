@@ -67,7 +67,10 @@ def _scan(args: argparse.Namespace) -> None:
         seq = TreeSequence((l,) * args.levels)
         emit_block(f"constant-{l}", seq, args.levels, args.precision)
     for text in (x for x in args.targets.split(",") if x):
-        alpha = Fraction(text)
+        try:
+            alpha = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"target {text!r} has a zero denominator") from None
         levels = min(args.levels, 14)  # minimal-strategy entries double in size
         trace = synthesize(alpha, levels)
         emit_block(f"target-{text}", trace.sequence(), levels, args.precision)

@@ -39,7 +39,10 @@ def _write_gallery(args: argparse.Namespace) -> None:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for text in (x for x in args.targets.split(",") if x):
-        alpha = Fraction(text)
+        try:
+            alpha = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"target {text!r} has a zero denominator") from None
         trace = synthesize(alpha, args.terms, "prime-rich")
         seq = trace.sequence()
         sample = spectrum_sample(alpha, seq, args.max_den, args.terms)

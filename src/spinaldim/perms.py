@@ -5,7 +5,7 @@ package: in a product the right factor acts first, so (g * h)(x) = g(h(x))
 and conjugation w = s**-2 * t * s**2 means "apply s**2, then t, then s**-2".
 
 The kernel ``_mul``, ``_inv`` and ``_is_id`` works on the 0-based image
-tuples that chains and branch witnesses compute in, composing in one C call
+tuples that stabilizer chains compute in, composing in one C call
 (``operator.itemgetter``).  :class:`Permutation` uses it too: a 1-based
 table is the 0-based table, behind a fixed 0, of a permutation of 0..k.
 """

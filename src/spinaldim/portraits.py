@@ -9,6 +9,7 @@ yz the image is g(y) followed by the section of g at y applied to z.
 
 from __future__ import annotations
 
+from .errors import BudgetExceeded
 from .perms import Permutation, alt_generators, embedded_alt_generators
 from .trees import TreeSequence, Vertex
 
@@ -22,6 +23,8 @@ GROUPS = {
 # spinal kind -> (pair function, index of its label in the pair)
 SPINAL_KINDS = {kind: (pair, index) for pair, kinds, _ in GROUPS.values()
                 for index, kind in enumerate(kinds)}
+# largest number of image entries that Portrait.spinal builds its labels from
+_SPINAL_ENTRY_BUDGET = 100_000
 
 
 class Portrait:
@@ -65,17 +68,25 @@ class Portrait:
         l_k children: tau/sigma for zeta/psi, kappa/rho for xi/theta.  All
         other labels are the identity, so the portrait stabilizes level 1
         and its section at the first child is the same generator one level
-        down.
+        down.  The labels hold sum_{1<=k<depth} l_k entries; above
+        _SPINAL_ENTRY_BUDGET it refuses with BudgetExceeded before building any.
         """
         if kind not in SPINAL_KINDS:
             raise ValueError(f"unknown spinal kind {kind!r}")
         if not 1 <= depth <= len(seq):
             raise ValueError(f"spinal depth {depth} outside 1..{len(seq)}")
+        entries = sum(seq.valencies[1:depth])
+        if entries > _SPINAL_ENTRY_BUDGET:
+            raise BudgetExceeded(
+                f"spinal labels need {entries} entries (budget {_SPINAL_ENTRY_BUDGET})",
+                required=entries,
+                limit=_SPINAL_ENTRY_BUDGET,
+            )
         pair, index = SPINAL_KINDS[kind]
         labels = {(1,) * (k - 1) + (2,): pair(seq[k])[index] for k in range(1, depth)}
         return cls(seq, depth, labels)
 
-    # -- basic queries -----------------------------------------------------
+    # -- action and algebra ------------------------------------------------
 
     def apply(self, v: Vertex) -> Vertex:
         """Image of a vertex, walking the source path from the root."""
@@ -114,6 +125,22 @@ class Portrait:
                     nxt.extend(first + y - 1 for y in label)
             images = nxt
         return Permutation(tuple(x + 1 for x in images))
+
+    def inverse(self) -> "Portrait":
+        """g^-1, whose label at g(u) is (g|_u)^-1."""
+        return Portrait(self.seq, self.depth,
+                        {self.apply(u): perm.inverse() for u, perm in self.labels.items()})
+
+    def __mul__(self, other: "Portrait") -> "Portrait":
+        """Composition with the right factor h acting first: (g*h)|_u = g|_{h(u)} h|_u."""
+        # u carries a label when h does, or when h moves it to a labeled vertex of g
+        back = other.inverse()
+        sources = set(other.labels) | {back.apply(w) for w in self.labels}
+        labels = {}
+        for u in sources:
+            g, h = self.labels.get(other.apply(u)), other.labels.get(u)
+            labels[u] = g * h if g and h else g or h
+        return Portrait(self.seq, self.depth, labels)
 
     def __repr__(self) -> str:
         return f"Portrait(depth={self.depth}, labels={len(self.labels)})"

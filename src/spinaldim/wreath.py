@@ -16,24 +16,25 @@ closed form is an upper bound: the group preserves the subtree of letters
 <= l_i - s and acts on it faithfully, so the order is counted there, on
 m'_n points, as G's construction over the valencies l_i - s.  In the
 branch domain, where the section group A_{l-s} of every level below the
-root is simple, it is certified level by level from one rigid witness per
-level (the rigid-stabilizer argument for branch groups: Bartholdi,
-Grigorchuk and Sunic, "Branch groups", 2003).  Everywhere else, and
-whenever a branch check fails, a stabilizer chain on the subtree's level
-is the independent counter, certified by reaching the bound or else by a
-Schreier pass.
+root is simple, it is certified level by level from rigid witnesses, one
+running product of portraits checked on their labels (the rigid-stabilizer
+argument for branch groups: Bartholdi, Grigorchuk and Sunic, "Branch
+groups", 2003).  Everywhere else, and whenever a branch check fails, a
+stabilizer chain on the subtree's level is the independent counter,
+certified by reaching the bound or else by a Schreier pass.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from collections import deque
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import BudgetExceeded, DegreeCapExceeded
-from .perms import Permutation, _inv, _mul
+from .perms import Permutation
 from .portraits import GROUPS, Portrait
 from .schreier import StabilizerChain
 from .trees import TreeSequence
@@ -46,6 +47,8 @@ _GUARD_BITS = 32
 _EXACT_DIGIT_BUDGET = 100_000
 # default largest level degree that verify_level_action builds a chain for
 _DEGREE_CAP = 700
+# largest sum of log2 m_j over the levels that log_order_sums keeps prefix sums for
+_LOG_SUM_BIT_BUDGET = 1 << 24
 
 
 def lnfact(n: int, precision_bits: int = 128) -> mpf:
@@ -115,8 +118,18 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
     distinct valency at wp = precision_bits + _GUARD_BITS bits and rounded
     once to the scale, so a constant tree of any depth makes two ``lnfact``
     calls.  The sums then only multiply the exact level sizes by those
-    wp-bit mantissas, shift and add.
+    wp-bit mantissas, shift and add.  An entry at level j holds about
+    log2 m_j bits, so the pass refuses with BudgetExceeded, before any log,
+    when the float estimate of sum_j log2 m_j exceeds _LOG_SUM_BIT_BUDGET.
     """
+    bits = sum(itertools.accumulate(math.log2(l) for l in valencies))
+    if bits > _LOG_SUM_BIT_BUDGET:
+        raise BudgetExceeded(
+            f"log-order sums over {len(valencies)} levels need about {bits:.3g} bits "
+            f"(budget {_LOG_SUM_BIT_BUDGET})",
+            required=bits,
+            limit=_LOG_SUM_BIT_BUDGET,
+        )
     import mpmath
 
     wp = precision_bits + _GUARD_BITS
@@ -247,41 +260,34 @@ def _peel_words(pair: tuple[Permutation, Permutation]) -> tuple[tuple[int, ...],
     return to_one, fix_one
 
 
-def _peeled_witness(images: list[tuple[int, ...]],
-                    words: list[tuple[tuple[int, ...], ...]]) -> tuple[int, ...]:
-    """A level-k element meant to move only the block under v = (1, ..., 1, 2).
+def _peeled_witnesses(z: Portrait, p: Portrait, spine: list) -> Iterator[Portrait]:
+    """The witnesses c_2, c_3, ... of ``_branch_certifies``, as one running product.
 
-    ``images`` are the level-k actions, 0-based, of the rooted pair (a, b)
-    and the spinal pair (z, p); ``words[t]`` are the ``_peel_words`` of the
-    label pair at the spine vertex 1^t, for t < k - 2.  c = [z, p] carries
-    one commutator label at each vertex 1^{i-1} 2.  Peel t conjugates p by
-    an r_t that fixes 1^t and acts there by a label fixing letter 1 and
-    moving letter 2, so [c, r_t p r_t^-1] drops the label at 1^t 2 and keeps
-    those below 1^{t+1}.  r_t is a word in q z q^-1 and q p q^-1 (in a and
-    b at the root), with q built the same way one level up so that it maps
-    1^{t-1} 2 to 1^t.
+    c_2 = [z, p] carries one commutator label at each vertex 1^{i-1} 2.
+    Peel t turns c_{t+2} into c_{t+3}: it conjugates p by an r_t that fixes
+    1^t and acts there by a label fixing letter 1 and moving letter 2, so
+    [c, r_t p r_t^-1] drops the label at 1^t 2 and keeps those below
+    1^{t+1}.  r_t is a ``_peel_words`` word in q x q^-1 and q y q^-1, for
+    the pair (x, y) at v of entry t of ``spine``, and q is built the same
+    way one peel earlier so that it maps 1^{t-1} 2 to 1^t.  Each c_k is
+    built only when asked for: a pair is peeled after its check (a) passed.
     """
-    a, b, z, p = images
-    identity = tuple(range(len(a)))
-
-    def value(word, x, y):
-        letters = (x, y, _inv(x), _inv(y))
-        g = identity
-        for i in word:
-            g = _mul(g, letters[i])
-        return g
+    def value(word, x, y):  # the words are never empty
+        letters = (x, y, x.inverse(), y.inverse())
+        return functools.reduce(Portrait.__mul__, [letters[i] for i in word])
 
     def conj(g, h):  # g h g^-1
-        return _mul(_mul(g, h), _inv(g))
+        return g * h * g.inverse()
 
-    c = _mul(conj(z, p), _inv(p))
-    q = identity
-    for t, (to_one, fix_one) in enumerate(words):
-        x, y = (a, b) if t == 0 else (z, p)
+    c = conj(z, p) * p.inverse()
+    q = Portrait(z.seq, z.depth)
+    yield c
+    for v, (x, y) in spine:
+        to_one, fix_one = _peel_words((x.labels[v], y.labels[v]))
         d = conj(conj(q, value(fix_one, x, y)), p)
-        c = _mul(conj(c, d), _inv(d))
+        c = conj(c, d) * d.inverse()
+        yield c
         q = conj(q, value(to_one, x, y))
-    return c
 
 
 def _on_subtree(portraits: list[Portrait], which: str) -> list[Portrait]:
@@ -323,12 +329,12 @@ def _branch_certifies(portraits: list[Portrait], n: int) -> bool:
     v = (1, ..., 1, 2) of level k - 1 otherwise, with l = l_{k-1}:
 
     (a) the pair's labels at v generate A_l (``_pair_is_alternating``);
-    (b) the pair maps the block of level k under v onto itself by exactly
-        those labels;
-    (c) for k >= 2, the ``_peeled_witness`` c is nontrivial on that block
-        and the identity on every other point of level k.
+    (b) the pair fixes v, so it maps the block of level k under v onto
+        itself by exactly those labels;
+    (c) for k >= 2, c_k of ``_peeled_witnesses`` has one label above level
+        k, at v: it is nontrivial on that block and fixes the rest of level k.
 
-    Level 1 is all of A_l by (a) and (b).  Below it, c lies in the kernel
+    Level 1 is all of A_l by (a) and (b).  Below it, c_k lies in the kernel
     of X_k -> X_{k-1}, and the kernel's elements supported on the block
     form a subgroup normalized by the stabilizer of v, which acts on the
     block as A_l.  That group is simple, so the subgroup is all of A_l;
@@ -336,28 +342,18 @@ def _branch_certifies(portraits: list[Portrait], n: int) -> bool:
     kernel holds A_l on each of its m_{k-1} blocks, the most the labels
     allow.  So |X_n| = prod (l!/2)^{m_{k-1}}, the closed form.
     """
-    seq = portraits[0].seq
-    valencies = seq.valencies[:n]
+    valencies = portraits[0].seq.valencies[:n]
     if n < 2 or valencies[0] < 4 or any(l < 5 for l in valencies[1:]):
         return False
-    words = []  # the _peel_words of the pairs at (), (2,), (1, 2), ...
-    for k, l in enumerate(valencies, start=1):
-        v, gens = ((), slice(0, 2)) if k == 1 else ((1,) * (k - 2) + (2,), slice(2, 4))
-        pair = tuple(p.labels[v] for p in portraits[gens])
-        if not _pair_is_alternating(pair):
+    a, b, z, p = portraits
+    spine = [((), (a, b))] + [((1,) * (k - 2) + (2,), (z, p)) for k in range(2, n + 1)]
+    witnesses = _peeled_witnesses(z, p, spine[:n - 2])
+    for k, (v, gens) in enumerate(spine, start=1):
+        if (not _pair_is_alternating(tuple(g.labels[v] for g in gens))
+                or any(g.apply(v) != v for g in gens)):
             return False
-        images = [tuple(x - 1 for x in p.level_permutation(k).images) for p in portraits]
-        start = (seq.vertex_index(v) - 1) * l
-        for g, label in zip(images[gens], pair):
-            if g[start:start + l] != tuple(start + y - 1 for y in label.images):
-                return False
-        if k >= 2:
-            c = _peeled_witness(images, words[:k - 2])
-            moved = [x for x, y in enumerate(c) if x != y]
-            if not moved or moved[0] < start or moved[-1] >= start + l:
-                return False
-        if k <= n - 2:
-            words.append(_peel_words(pair))
+        if k >= 2 and [u for u in next(witnesses).labels if len(u) < k] != [v]:
+            return False
     return True
 
 

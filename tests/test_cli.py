@@ -719,6 +719,19 @@ def test_every_entry_point_ends_through_one_exit_policy(tmp_path, name, argv, fu
         assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("dimension_scan", "--levels 3 --constants= --targets 1/0"),
+    ("spectrum_gallery", "--outdir {out} --targets 1/0"),
+])
+def test_zero_denominator_target_is_a_bad_value(tmp_path, name, argv):
+    # Fraction("1/0") raises ZeroDivisionError, which no exit code maps
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = _script(name).main(argv.format(out=tmp_path / "out").split())
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == "error: target '1/0' has a zero denominator\n"
+
+
 @pytest.mark.parametrize("template, at, over, err", [
     ("dim --alpha 1/2 --terms 3 --levels 3 --precision {}", 4096, 4097,
      "refused: precision 4097 above the 4096-bit ceiling\n"),
@@ -734,6 +747,29 @@ def test_working_precision_has_a_ceiling(template, at, over, err):
     assert refused == (4, "", err)
     code, out, err_got = run_cli(*template.format(at).split())
     assert (code, err_got) == (0, "") and out
+
+
+@pytest.mark.parametrize("name, argv, err", [
+    ("cli", "portrait --gen zeta --seq 5,4000000 --depth 2",
+     "refused: spinal labels need 4000000 entries (budget 100000)\n"),
+    ("dimension_scan", "--levels 16000 --constants 5 --targets=",
+     "refused: log-order sums over 16000 levels need about 2.97e+08 bits "
+     "(budget 16777216)\n"),
+], ids=["portrait", "dimension_scan"])
+def test_wide_labels_and_deep_reports_are_refused_before_any_work(name, argv, err):
+    run = main if name == "cli" else _script(name).main
+    out, err_got = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err_got):
+        code = run(argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out.getvalue(), err_got.getvalue()) == (4, "", err)
+
+
+def test_spinal_labels_at_the_entry_budget_are_built():
+    code, out, err = run_cli("portrait", "--gen", "zeta", "--seq", "5,100000", "--depth", "2")
+    assert (code, err) == (0, "")
+    assert out.endswith("1 2: (99998 99999 100000)\n")
 
 
 # A cold `python -m spinaldim.cli` or `python scripts/<script>.py` ends

@@ -1,6 +1,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinaldim import (
     Permutation,
@@ -10,6 +12,7 @@ from spinaldim import (
     embedded_alt_generators,
     spinal_group_portraits,
 )
+from spinaldim.wreath import _on_subtree
 
 SEQ55 = TreeSequence((5, 5))
 
@@ -169,3 +172,27 @@ def test_level_permutation_matches_vertex_images_with_labels_everywhere():
     p = Portrait(seq, 3, labels)
     for n in range(4):
         assert p.level_permutation(n) == _level_permutation_by_vertices(p, n)
+
+
+# words of (generator index, inverted) in the four generators of a group
+WORDS = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=5)
+
+
+@given(st.sampled_from(["G", "H"]), st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       WORDS, WORDS)
+@settings(max_examples=60, deadline=None)
+def test_product_and_inverse_are_homomorphisms(which, offsets, left, right):
+    # valencies from the least each group admits: 4 for G, 5 for H
+    seq = TreeSequence((4 if which == "G" else 5) + x for x in offsets)
+    n = len(seq)
+    gens = _on_subtree(spinal_group_portraits(seq, n, which), which)
+
+    def element(word):
+        g = Portrait(gens[0].seq, n)
+        for i, inverted in word:
+            g = g * (gens[i].inverse() if inverted else gens[i])
+        return g
+
+    g, h = element(left), element(right)
+    assert (g * h).level_permutation(n) == g.level_permutation(n) * h.level_permutation(n)
+    assert g.inverse().level_permutation(n) == g.level_permutation(n).inverse()

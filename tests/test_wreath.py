@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -26,10 +28,10 @@ from spinaldim.wreath import (
     LevelActionReport,
     LogOrderSums,
     _fixed,
+    _branch_certifies,
     _on_subtree,
     _pair_is_alternating,
-    _peel_words,
-    _peeled_witness,
+    _peeled_witnesses,
     exact_wreath_order,
     log_order_sums,
 )
@@ -157,6 +159,19 @@ def test_log_order_sums_evaluates_each_valency_once(monkeypatch):
     mixed = (5, 9, 5, 7, 9, 5) * 10
     log_order_sums(mixed, 128)
     assert len(calls) <= 2 * len(set(mixed))
+
+
+def test_log_order_sums_refuses_a_deep_report_before_any_log(monkeypatch):
+    import spinaldim.wreath as wreath
+
+    monkeypatch.setattr(wreath, "lnfact", lambda *args: pytest.fail("a log was evaluated"))
+    n = 3801  # the least constant-5 depth above the budget
+    with pytest.raises(BudgetExceeded) as err:
+        log_order_sums((5,) * n, 128)
+    # sum over j = 1..n of log2 m_j, with m_j = 5^j
+    assert err.value.required == pytest.approx(math.log2(5) * n * (n + 1) / 2, rel=1e-12)
+    assert err.value.required > err.value.limit == wreath._LOG_SUM_BIT_BUDGET == 1 << 24
+    assert math.log2(5) * (n - 1) * n / 2 <= err.value.limit
 
 
 def test_wreath_order_budget_refusal(monkeypatch):
@@ -418,22 +433,25 @@ def test_out_of_domain_keeps_the_order_bound_chain(valencies, which):
     assert r.match and r.certificate == "order-bound"
 
 
+# the empty witness, or one with an extra label on the first or the last
+# vertex of level k - 1, whose children are the first or last points of level k
 @pytest.mark.parametrize("witness", ["identity", "first points", "last points"])
 def test_bad_witness_falls_back_to_the_chain(monkeypatch, witness):
     import spinaldim.wreath as wreath
 
-    peeled = wreath._peeled_witness
+    peeled = wreath._peeled_witnesses
 
-    def fake(images, words):
-        c = list(peeled(images, words))
-        if witness == "identity":
-            return tuple(range(len(c)))
-        # also swap two points outside the block under (1, ..., 1, 2)
-        i, j = (0, 1) if witness == "first points" else (len(c) - 2, len(c) - 1)
-        c[i], c[j] = c[j], c[i]
-        return tuple(c)
+    def fake(z, p, spine):
+        for k, c in enumerate(peeled(z, p, spine), start=2):
+            if witness == "identity":
+                yield Portrait(c.seq, c.depth)
+                continue
+            u = (1,) * (k - 1) if witness == "first points" else c.seq.valencies[:k - 1]
+            extra = Permutation.from_cycles(c.seq[k - 1], [(1, 2, 3)])
+            assert u not in c.labels
+            yield Portrait(c.seq, c.depth, {**c.labels, u: extra})
 
-    monkeypatch.setattr(wreath, "_peeled_witness", fake)
+    monkeypatch.setattr(wreath, "_peeled_witnesses", fake)
     for valencies, n, which in [((7, 7), 2, "G"), ((5, 5, 5), 3, "G"), ((7, 7), 2, "H")]:
         r = verify_level_action(TreeSequence(valencies), n, which)
         assert r.certificate == "order-bound", valencies
@@ -463,6 +481,12 @@ def test_section_pair_refusal_falls_back_to_the_chain(monkeypatch):
         assert r.match, valencies
 
 
+def spine(portraits, n):
+    # the (vertex, generator pair) of each level k = 1..n, as _branch_certifies reads them
+    a, b, z, p = portraits
+    return [((), (a, b))] + [((1,) * (k - 2) + (2,), (z, p)) for k in range(2, n + 1)]
+
+
 # in-domain G sequences: l_0 >= 4, then valencies >= 5
 @given(st.integers(4, 9), st.lists(st.integers(5, 9), min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
@@ -471,15 +495,39 @@ def test_peeled_witness_moves_only_the_block_under_the_spine(root, below):
     seq = TreeSequence(valencies)
     n = len(valencies)
     portraits = spinal_group_portraits(seq, n, "G")
-    pairs = [tuple(p.labels[()] for p in portraits[:2])]
-    pairs += [tuple(p.labels[(1,) * (k - 1) + (2,)] for p in portraits[2:]) for k in range(1, n)]
-    words = [_peel_words(pair) for pair in pairs[:n - 2]]
-    images = [tuple(x - 1 for x in p.level_permutation(n).images) for p in portraits]
-    c = _peeled_witness(images, words)
-    v = (1,) * (n - 2) + (2,)
-    start = (seq.vertex_index(v) - 1) * valencies[-1]
-    moved = [x for x, y in enumerate(c) if x != y]
-    assert moved and start <= moved[0] and moved[-1] < start + valencies[-1]
+    levels = spine(portraits, n)
+    witnesses = list(_peeled_witnesses(*portraits[2:], levels[:n - 2]))
+    assert len(witnesses) == n - 1
+    for k, ((v, _), c) in enumerate(zip(levels[1:], witnesses), start=2):
+        assert [u for u in c.labels if len(u) < k] == [v]
+        # the same statement on the dense level-k action
+        start = (seq.vertex_index(v) - 1) * valencies[k - 1]
+        moved = [x for x, y in enumerate(c.level_permutation(k).images, 1) if x != y]
+        assert moved and start < moved[0] and moved[-1] <= start + valencies[k - 1]
+
+
+# G with l in 4..7 and H with l in 5..8 at n = 2 and 3: 66 of the 160 lie in
+# the branch domain, l_0 - s >= 4 and l_k - s >= 5 below the root
+@pytest.mark.parametrize("which, low", [("G", 4), ("H", 5)])
+def test_branch_certifies_exactly_the_domain_of_the_sweep(which, low):
+    shift = GROUPS[which][2]
+    certified = 0
+    for n in (2, 3):
+        for valencies in itertools.product(range(low, low + 4), repeat=n):
+            portraits = _on_subtree(spinal_group_portraits(TreeSequence(valencies), n, which),
+                                    which)
+            domain = valencies[0] - shift >= 4 and all(l - shift >= 5 for l in valencies[1:])
+            assert _branch_certifies(portraits, n) == domain, valencies
+            certified += domain
+    assert certified == {"G": 48, "H": 18}[which]
+
+
+def test_branch_reaches_past_the_degree_cap():
+    seq = TreeSequence((5,) * 6)
+    start = time.perf_counter()
+    r = verify_level_action(seq, 6, "G", degree_cap=seq.level_size(6))
+    assert time.perf_counter() - start < 0.5
+    assert r.degree == 15_625 and r.certificate == "branch" and r.match
 
 
 @pytest.mark.parametrize("valencies", [(5,), (5, 5, 5, 5, 5, 5, 5, 5), (5, 13, 133, 17293),
