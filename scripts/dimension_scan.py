@@ -19,34 +19,27 @@ import argparse
 import sys
 from fractions import Fraction
 
-from mpmath.libmp import from_int, mpf_div, round_nearest, to_str
+from mpmath.libmp import to_str
 
 from spinaldim import TreeSequence, _end_process, dimension_report, synthesize
+from spinaldim.dimension import _GUARD_BITS, _quotient
 from spinaldim.errors import exit_code
 
-# alpha_n is printed as mpmath.mpf(num) / den at 53 bits: the numerator is
-# rounded, then the quotient.  One correctly rounded quotient would be no
-# closer to the exact decimal, and it moves the 12th digit of rare rows
-# (constant-56 n=143 prints ...285 instead of ...284, the exact digits).
-ALPHA_BITS = 53
+DIGITS = 12  # significant digits of every printed column
 
 
-def _alpha(q):
-    return mpf_div(from_int(q.numerator, ALPHA_BITS, round_nearest), from_int(q.denominator),
-                   ALPHA_BITS, round_nearest)
-
-
-def emit_block(tag, seq, levels, precision, digits=12):
+def emit_block(tag, seq, levels, precision):
     report = dimension_report(seq, levels, precision)
     print(f"# family={tag} sequence_prefix={','.join(map(str, seq.valencies[:4]))}...")
     print("n,alpha_n,d_n,lower_n,upper_n")
     for row in report.rows:
         env = row.envelope
+        alpha = _quotient(row.alpha.numerator, row.alpha.denominator, precision + _GUARD_BITS)
         print(
-            f"{row.n},{to_str(_alpha(row.alpha), digits)},{to_str(row.d._mpf_, digits)},"
-            f"{to_str(env.lower._mpf_, digits)},{to_str(env.upper._mpf_, digits)}"
+            f"{row.n},{to_str(alpha, DIGITS)},{to_str(row.d._mpf_, DIGITS)},"
+            f"{to_str(env.lower._mpf_, DIGITS)},{to_str(env.upper._mpf_, DIGITS)}"
         )
-    print(f"# liminf_estimate={to_str(report.liminf_estimate._mpf_, digits)}")
+    print(f"# liminf_estimate={to_str(report.liminf_estimate._mpf_, DIGITS)}")
     print()
 
 

@@ -36,8 +36,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _write_gallery(args: argparse.Namespace) -> None:
-    outdir = pathlib.Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    # every page is built before --outdir is made: a bad or refused run leaves none
+    pages = []
     for text in (x for x in args.targets.split(",") if x):
         try:
             alpha = Fraction(text)
@@ -59,11 +59,16 @@ def _write_gallery(args: argparse.Namespace) -> None:
         }
         # plain json.dumps, not cli._json_text: the scan cap keeps prime-rich
         # valencies to a few digits, so there is no big integer to unquote
-        (outdir / f"{stem}.json").write_text(json.dumps(doc, indent=2) + "\n")
-        (outdir / f"{stem}.svg").write_text(spectrum_svg(sample) + "\n")
         kept = sum(1 for e in sample.entries if e.provenance == "L")
-        print(f"target {text}: sequence {seq.to_text()}, {kept} rational values, "
-              f"wrote {stem}.json/.svg")
+        pages.append((stem, json.dumps(doc, indent=2), spectrum_svg(sample),
+                      f"target {text}: sequence {seq.to_text()}, {kept} rational values, "
+                      f"wrote {stem}.json/.svg"))
+    outdir = pathlib.Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for stem, json_text, svg_text, line in pages:
+        (outdir / f"{stem}.json").write_text(json_text + "\n")
+        (outdir / f"{stem}.svg").write_text(svg_text + "\n")
+        print(line)
 
 
 if __name__ == "__main__":

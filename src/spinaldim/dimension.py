@@ -24,12 +24,12 @@ Stirling-type bound 1 + l_j (ln l_j - 1), every unit weighted by the
 largest m'_{n-1}.
 
 The sums are exact ints at a fixed binary scale whose only roundings are
-the logs themselves, so t1, t2, ratio, upper and d are each one correctly
-rounded quotient; lower, t1_cap and the tolerance flags are worked at the
-row's working precision.  ``partial_dimension`` builds one level's row from
-these formulas, and ``dimension_report`` asks it for each level, so a deep
-report evaluates each valency's logs once (in ``log_order_sums``) and reads
-every row off the cached sums.
+the logs themselves, so t1, t2, ratio, upper, d, a and t1_cap = 8/l_{n-1}
+are each one correctly rounded quotient; only lower and the tolerance
+flags are worked at the row's working precision.  ``partial_dimension``
+builds one level's row from these formulas, and ``dimension_report`` asks
+it for each level, so a deep report evaluates each valency's logs once (in
+``log_order_sums``) and reads every row off the cached sums.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     """The level-n quotient d_n together with its envelope row.
 
     t1, t2, ratio, upper and d are each one correctly rounded quotient of
-    the exact prefix sums.  lower, t1_cap and the flags are worked at wp
-    bits on raw mpf values, and only the fields the row keeps become mpf
-    objects.
+    the exact prefix sums, and a and t1_cap of exact rationals.  Only lower
+    and the flags are worked at wp bits on raw mpf values, and only the
+    fields the row keeps become mpf objects.
     """
     _require_precision(precision_bits)
     _require_subgroup_side(seq, n)
@@ -131,7 +131,7 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
         raise ValueError(f"level {n} outside 1..{len(seq)}; the smallest reported level is 1")
 
     import mpmath
-    from mpmath.libmp import fone, from_rational, mpf_add, mpf_div, mpf_le
+    from mpmath.libmp import fone, mpf_add, mpf_div, mpf_le
     from mpmath.libmp import round_nearest as rnd
 
     wp = precision_bits + _GUARD_BITS
@@ -142,9 +142,9 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     ratio = _quotient(sums.fact_sub[n], sums.fact[n], wp)
     upper = _quotient(n * sums.size_sub[n - 1] + sums.stirling_sub[n], sums.fact[n], wp)
     alpha_prefix = prefixes[n - 1]
-    a = from_rational(alpha_prefix.numerator, alpha_prefix.denominator, wp, rnd)
+    a = _quotient(alpha_prefix.numerator, alpha_prefix.denominator, wp)
     lower = mpf_div(a, mpf_add(mpf_add(fone, t1, wp, rnd), t2, wp, rnd), wp, rnd)
-    t1_cap = from_rational(8, seq[n - 1], wp, rnd)
+    t1_cap = _quotient(8, seq[n - 1], wp)
     tol = (0, 1, -(precision_bits // 2), 1)  # 2^-(precision_bits // 2)
     make = mpmath.mp.make_mpf
     return DimensionRow(

@@ -54,10 +54,11 @@ class TreeSequence:
 
     @classmethod
     def from_text(cls, text: str) -> "TreeSequence":
-        """Parse a comma-separated list such as "5,13,133"."""
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not parts:
-            raise ValueError("empty valency sequence")
+        """Parse a comma-separated list such as "5,13,133"; no entry may be empty."""
+        parts = [p.strip() for p in text.split(",")]
+        if "" in parts:
+            raise ValueError(f"empty entry {parts.index('') + 1} in valency sequence {text!r}"
+                             if len(parts) > 1 else "empty valency sequence")
         return cls(tuple(int(p) for p in parts))
 
     def to_text(self) -> str:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import spinaldim.cli as cli
-from spinaldim import errors
+from spinaldim import TreeSequence, errors
 from spinaldim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -423,6 +424,15 @@ def test_bad_seq_reported_by_argparse(command):
                         "invalid literal for int() with base 10: 'x'\n")
 
 
+@pytest.mark.parametrize("seq, position", [("5,,5", 2), (",5", 1), ("5,", 2)])
+def test_empty_seq_entry_is_a_bad_value(seq, position):
+    # dropping the entry would verify a different tree and echo it as given
+    code, out, err = run_cli("verify", "--seq", seq, "--level", "2")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"spinaldim verify: error: argument --seq: empty entry {position} "
+                        f"in valency sequence {seq!r}\n")
+
+
 def test_repeated_runs_byte_identical():
     for argv in (
         ["verify", "--seq", "5,5", "--level", "2", "--group", "G", "--seed", "7"],
@@ -676,6 +686,48 @@ def test_dimension_scan_refuses_over_budget(monkeypatch):
     assert err.startswith("refused: ") and err.count("\n") == 1
 
 
+def test_scan_of_huge_valencies_rounds_alpha_quickly():
+    # 300 levels of 10^50: alpha_n's terms carry 50k trailing zero bits.  On
+    # a 2-vCPU VM this run takes 0.14 s; it took 1.1-1.3 s while alpha_n
+    # went through mpmath's from_int, which strips them a byte at a time.
+    start = time.perf_counter()
+    code, out, err = _run_script(
+        "dimension_scan", ["--levels", "300", "--constants", str(10**50), "--targets", ""])
+    assert time.perf_counter() - start < 0.75
+    assert (code, err) == (0, "") and out.count("\n") == 304
+
+
+def _printable_12(num, den):
+    """What num/den in (0, 1) may print as to 12 significant digits: the
+    nearest such decimal, or at an exact tie either neighbour, as the
+    binary quotient may fall on either side of the tie."""
+    k = 11 + len(str(den)) - len(str(num))
+    while num * 10**k // den < 10**11:
+        k += 1
+    while num * 10**k // den >= 10**12:
+        k -= 1
+    r, rest = divmod(2 * num * 10**k + den, 2 * den)
+    return {Fraction(r - i, 10**k) for i in range(1 + (rest == 0))}
+
+
+@given(st.lists(st.integers(5, 60), min_size=1, max_size=40),
+       st.sampled_from([64, 128, 256]))
+@example([56] * 143, 128)  # 0.005513403692844999... prints ...284; a 53-bit quotient, ...285
+def test_scan_alpha_column_is_the_exact_rational_rounded(valencies, precision):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _script("dimension_scan").emit_block("t", TreeSequence(valencies), len(valencies),
+                                             precision)
+    rows = out.getvalue().splitlines()[2:-2]
+    assert len(rows) == len(valencies)
+    num = den = 1
+    for n, (row, l) in enumerate(zip(rows, valencies), start=1):
+        num, den = num * (l - 2), den * l
+        cols = row.split(",")
+        assert int(cols[0]) == n
+        assert Fraction(cols[1]) in _printable_12(num, den)
+
+
 class _FullStdout(io.StringIO):
     """A stdout whose every write fails, as on a full disk."""
 
@@ -717,6 +769,7 @@ def test_every_entry_point_ends_through_one_exit_policy(tmp_path, name, argv, fu
     assert err_got.getvalue().startswith(err) and err_got.getvalue().count("\n") == 1
     if not full_stdout:
         assert out.getvalue() == ""
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -730,6 +783,7 @@ def test_zero_denominator_target_is_a_bad_value(tmp_path, name, argv):
         code = _script(name).main(argv.format(out=tmp_path / "out").split())
     assert (code, out.getvalue()) == (2, "")
     assert err.getvalue() == "error: target '1/0' has a zero denominator\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("template, at, over, err", [

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from spinaldim import (
     BudgetExceeded,
@@ -16,7 +17,7 @@ from spinaldim import (
     rigid_product_partial,
     synthesize,
 )
-from spinaldim.dimension import _MAX_PRECISION, EnvelopeRow
+from spinaldim.dimension import _MAX_PRECISION, EnvelopeRow, _quotient
 from spinaldim.wreath import _GUARD_BITS
 
 CONST5 = TreeSequence((5,) * 40)
@@ -345,3 +346,24 @@ def test_rows_match_a_direct_recomputation_at_twice_the_working_precision(valenc
             assert env.t1_cap_ok == (want["t1"] <= mpmath.mpf(8) / l + tol), n
             m *= l
             m_sub *= l - 2
+
+
+def _ints(low: int):
+    # small ints, ints with up to 120k trailing zero bits and ints above 10^5 bits
+    small = st.integers(low, 2**70)
+    return st.one_of(
+        small,
+        st.builds(lambda m, s: m << s, st.integers(max(low, 1), 2**70), st.integers(0, 120_000)),
+        st.builds(lambda m, s, r: (m << s) + r, st.integers(1, 2**70),
+                  st.integers(100_000, 120_000), small),
+    )
+
+
+@given(p=st.one_of(st.just(0), _ints(0)),
+       q=st.one_of(st.builds(lambda s: 1 << s, st.integers(0, 120_000)), _ints(1)),
+       prec=st.integers(2, _MAX_PRECISION + _GUARD_BITS))
+@example(p=0, q=1 << 100_000, prec=96)
+@example(p=10**40_000 + 1, q=7**40_000, prec=_MAX_PRECISION + _GUARD_BITS)
+def test_quotient_is_the_correctly_rounded_rational(p, q, prec):
+    # mpmath's from_rational normalizes both ints first and serves as the reference
+    assert _quotient(p, q, prec) == from_rational(p, q, prec, round_nearest)
