@@ -56,10 +56,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _scan(args: argparse.Namespace) -> None:
-    for l in (int(x) for x in args.constants.split(",") if x):
+    # an empty list means none; an empty entry in a list is a bad value
+    constants = TreeSequence.from_text(args.constants) if args.constants else ()
+    targets = args.targets.split(",") if args.targets else []
+    if "" in targets:
+        raise ValueError(f"empty entry {targets.index('') + 1} in target list {args.targets!r}")
+    for l in constants:
         seq = TreeSequence((l,) * args.levels)
         emit_block(f"constant-{l}", seq, args.levels, args.precision)
-    for text in (x for x in args.targets.split(",") if x):
+    for text in targets:
         try:
             alpha = Fraction(text)
         except ZeroDivisionError:

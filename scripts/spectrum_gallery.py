@@ -38,7 +38,10 @@ def main(argv: list[str] | None = None) -> int:
 def _write_gallery(args: argparse.Namespace) -> None:
     # every page is built before --outdir is made: a bad or refused run leaves none
     pages = []
-    for text in (x for x in args.targets.split(",") if x):
+    targets = args.targets.split(",") if args.targets else []
+    if "" in targets:
+        raise ValueError(f"empty entry {targets.index('') + 1} in target list {args.targets!r}")
+    for text in targets:
         try:
             alpha = Fraction(text)
         except ZeroDivisionError:

@@ -56,10 +56,9 @@ def _nstr(x, digits: int) -> str:
 def _digits_precision(digits: int) -> int:
     """The bits ``_ratio_text`` works at for ``digits``, refused above the ceiling."""
     prec = max(53, math.ceil(digits * math.log2(10)) + _GUARD_BITS)
-    if prec > _MAX_PRECISION:
-        raise BudgetExceeded(
-            f"--digits {digits} needs {prec} bits, above the {_MAX_PRECISION}-bit ceiling",
-            required=prec, limit=_MAX_PRECISION)
+    BudgetExceeded.refuse_above(
+        prec, _MAX_PRECISION,
+        f"--digits {digits} needs {prec} bits, above the {_MAX_PRECISION}-bit ceiling")
     return prec
 
 

@@ -54,10 +54,9 @@ _MAX_PRECISION = 1 << 12
 def _require_precision(precision_bits: int) -> None:
     if precision_bits < _MIN_PRECISION:
         raise ValueError(f"precision {precision_bits} below the {_MIN_PRECISION}-bit floor")
-    if precision_bits > _MAX_PRECISION:
-        raise BudgetExceeded(
-            f"precision {precision_bits} above the {_MAX_PRECISION}-bit ceiling",
-            required=precision_bits, limit=_MAX_PRECISION)
+    BudgetExceeded.refuse_above(
+        precision_bits, _MAX_PRECISION,
+        f"precision {precision_bits} above the {_MAX_PRECISION}-bit ceiling")
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,5 +1,9 @@
 """Shared exception types, the exit codes the CLI and the scripts end with,
-and ``exit_code``, which turns a run's refusals and bad values into them."""
+and ``exit_code``, which turns a run's refusals and bad values into them.
+
+Every budget refuses through one rule, ``BudgetExceeded.refuse_above``:
+strictly above its limit, carrying the compared number and the limit.
+"""
 
 import sys
 
@@ -19,6 +23,12 @@ class BudgetExceeded(RuntimeError):
         super().__init__(message)
         self.required = required
         self.limit = limit
+
+    @classmethod
+    def refuse_above(cls, required, limit, message: str) -> None:
+        """Raise ``cls(message)`` carrying ``required`` and ``limit`` when required > limit."""
+        if required > limit:
+            raise cls(message, required=required, limit=limit)
 
 
 class DegreeCapExceeded(BudgetExceeded):

@@ -76,12 +76,9 @@ class Portrait:
         if not 1 <= depth <= len(seq):
             raise ValueError(f"spinal depth {depth} outside 1..{len(seq)}")
         entries = sum(seq.valencies[1:depth])
-        if entries > _SPINAL_ENTRY_BUDGET:
-            raise BudgetExceeded(
-                f"spinal labels need {entries} entries (budget {_SPINAL_ENTRY_BUDGET})",
-                required=entries,
-                limit=_SPINAL_ENTRY_BUDGET,
-            )
+        BudgetExceeded.refuse_above(
+            entries, _SPINAL_ENTRY_BUDGET,
+            f"spinal labels need {entries} entries (budget {_SPINAL_ENTRY_BUDGET})")
         pair, index = SPINAL_KINDS[kind]
         labels = {(1,) * (k - 1) + (2,): pair(seq[k])[index] for k in range(1, depth)}
         return cls(seq, depth, labels)

@@ -253,13 +253,10 @@ class StabilizerChain:
         self._verify_work += sum(
             len(self._pairs_at(i)) * len(lv.inv_transversal) * (levels - i) * self.degree
             for i, lv in enumerate(self._levels))
-        if self._verify_work > _VERIFY_WORK_LIMIT:
-            raise BudgetExceeded(
-                f"Schreier verification needs work {self._verify_work} (generators x orbit "
-                f"x levels walked x degree over its passes; limit {_VERIFY_WORK_LIMIT})",
-                required=self._verify_work,
-                limit=_VERIFY_WORK_LIMIT,
-            )
+        BudgetExceeded.refuse_above(
+            self._verify_work, _VERIFY_WORK_LIMIT,
+            f"Schreier verification needs work {self._verify_work} (generators x orbit "
+            f"x levels walked x degree over its passes; limit {_VERIFY_WORK_LIMIT})")
         identity = self._identity
         sift = self._sift
         witnesses: list[tuple[int, ...]] = []

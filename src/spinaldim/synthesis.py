@@ -117,12 +117,8 @@ def _pick_prime_rich(lo: int, hi: int) -> int:
     import numpy as np
 
     width = hi - lo + 1
-    if width > _SCAN_CAP:
-        raise BudgetExceeded(
-            f"prime-rich scan over {width} candidates exceeds cap {_SCAN_CAP}",
-            required=width,
-            limit=_SCAN_CAP,
-        )
+    BudgetExceeded.refuse_above(
+        width, _SCAN_CAP, f"prime-rich scan over {width} candidates exceeds cap {_SCAN_CAP}")
     counts = distinct_prime_factor_counts(lo - 2, hi - 2)
     best = int(np.argmax(counts))
     return lo + best
@@ -160,13 +156,10 @@ def synthesize(alpha: Fraction, terms: int, strategy: str = "minimal") -> Synthe
     p_prev = Fraction(1)
     for i in range(terms):
         lo, hi = window(alpha, p_prev)
-        digits = lo.bit_length() * 0.302
-        if digits > _MAX_ENTRY_DIGITS:
-            raise BudgetExceeded(
-                f"entry {i} needs about {int(digits)} digits (budget {_MAX_ENTRY_DIGITS})",
-                required=int(digits),
-                limit=_MAX_ENTRY_DIGITS,
-            )
+        digits = math.ceil(lo.bit_length() * 0.302)
+        BudgetExceeded.refuse_above(
+            digits, _MAX_ENTRY_DIGITS,
+            f"entry {i} needs about {digits} digits (budget {_MAX_ENTRY_DIGITS})")
         l = pick(lo, hi)
         p = p_prev * Fraction(l - 2, l)
         steps.append(SynthesisStep(i, l, lo, hi, p, p - alpha))
@@ -226,16 +219,6 @@ class SpectrumResult(NamedTuple):
     entries: list[SpectrumEntry]
 
 
-def _charge_spectrum(work: int) -> None:
-    if work > _SPECTRUM_WORK_LIMIT:
-        raise BudgetExceeded(
-            f"spectrum sample needs work above {_SPECTRUM_WORK_LIMIT} (denominators examined "
-            "plus entries built plus realization words); lower the max denominator or the horizon",
-            required=work,
-            limit=_SPECTRUM_WORK_LIMIT,
-        )
-
-
 def spectrum_sample(
     alpha: Fraction,
     seq: TreeSequence,
@@ -261,10 +244,13 @@ def spectrum_sample(
         raise ValueError("max denominator must be at least 1")
     if not 0 <= horizon <= len(seq):
         raise ValueError(f"horizon must lie in 0..{len(seq)}")
+    limit = _SPECTRUM_WORK_LIMIT
+    refusal = (f"spectrum sample needs work above {limit} (denominators examined plus entries "
+               "built plus realization words); lower the max denominator or the horizon")
     entries: list[SpectrumEntry] = []
     words = 0  # realization words charged so far
     for b in range(1, max_denominator + 1):
-        _charge_spectrum(b + len(entries) + words)
+        BudgetExceeded.refuse_above(b + len(entries) + words, limit, refusal)
         res = denominator_witness(Fraction(1, b), seq, horizon)
         if not res.found:
             continue
@@ -280,7 +266,7 @@ def spectrum_sample(
                 continue
             if a:
                 words += extra_words
-            _charge_spectrum(b + len(entries) + 2 + words)
+            BudgetExceeded.refuse_above(b + len(entries) + 2 + words, limit, refusal)
             q = Fraction(a, b)
             entries.append(
                 SpectrumEntry(

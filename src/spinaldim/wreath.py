@@ -123,13 +123,10 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
     when the float estimate of sum_j log2 m_j exceeds _LOG_SUM_BIT_BUDGET.
     """
     bits = sum(itertools.accumulate(math.log2(l) for l in valencies))
-    if bits > _LOG_SUM_BIT_BUDGET:
-        raise BudgetExceeded(
-            f"log-order sums over {len(valencies)} levels need about {bits:.3g} bits "
-            f"(budget {_LOG_SUM_BIT_BUDGET})",
-            required=bits,
-            limit=_LOG_SUM_BIT_BUDGET,
-        )
+    BudgetExceeded.refuse_above(
+        bits, _LOG_SUM_BIT_BUDGET,
+        f"log-order sums over {len(valencies)} levels need about {bits:.3g} bits "
+        f"(budget {_LOG_SUM_BIT_BUDGET})")
     import mpmath
 
     wp = precision_bits + _GUARD_BITS
@@ -183,13 +180,10 @@ def exact_wreath_order(valencies: tuple[int, ...]) -> int:
             m *= l
     except OverflowError:
         digits = math.inf
-    if digits > _EXACT_DIGIT_BUDGET:
-        raise BudgetExceeded(
-            f"exact order needs about {digits:.3g} digits (budget {_EXACT_DIGIT_BUDGET}); "
-            "use the log variant",
-            required=digits,
-            limit=_EXACT_DIGIT_BUDGET,
-        )
+    BudgetExceeded.refuse_above(
+        digits, _EXACT_DIGIT_BUDGET,
+        f"exact order needs about {digits:.3g} digits (budget {_EXACT_DIGIT_BUDGET}); "
+        "use the log variant")
     exact = 1
     m = 1
     for l in valencies:
@@ -393,12 +387,8 @@ def verify_level_action(
     if n < 1 or n > len(seq):
         raise ValueError(f"level {n} outside 1..{len(seq)}")
     degree = seq.level_size(n)
-    if degree > degree_cap:
-        raise DegreeCapExceeded(
-            f"level {n} action has degree {degree} > cap {degree_cap}",
-            required=degree,
-            limit=degree_cap,
-        )
+    DegreeCapExceeded.refuse_above(
+        degree, degree_cap, f"level {n} action has degree {degree} > cap {degree_cap}")
     start = time.perf_counter()
     shift = _group(which)[2]
     if shift:

@@ -786,6 +786,29 @@ def test_zero_denominator_target_is_a_bad_value(tmp_path, name, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, argv, err", [
+    ("dimension_scan", "--levels 3 --constants 5,,7 --targets=",
+     "error: empty entry 2 in valency sequence '5,,7'\n"),
+    ("dimension_scan", "--levels 3 --constants , --targets=",
+     "error: empty entry 1 in valency sequence ','\n"),
+    ("dimension_scan", "--levels 3 --constants 5 --targets 0.5,,0.25",
+     "error: empty entry 2 in target list '0.5,,0.25'\n"),
+    ("dimension_scan", "--levels 3 --constants= --targets 0.5,",
+     "error: empty entry 2 in target list '0.5,'\n"),
+    ("spectrum_gallery", "--outdir {out} --targets 0.5,,0.3",
+     "error: empty entry 2 in target list '0.5,,0.3'\n"),
+    ("spectrum_gallery", "--outdir {out} --targets ,0.3",
+     "error: empty entry 1 in target list ',0.3'\n"),
+], ids=["scan-constants-5,,7", "scan-constants-comma", "scan-targets-0.5,,0.25",
+        "scan-targets-0.5,", "gallery-targets-0.5,,0.3", "gallery-targets-,0.3"])
+def test_empty_list_entry_is_a_bad_value(tmp_path, name, argv, err):
+    # an empty list still means none; an empty entry in one is refused before
+    # any block is printed or --outdir is made, as `verify --seq 5,,5` is
+    code, out, got = _run_script(name, argv.format(out=tmp_path / "out").split())
+    assert (code, out, got) == (2, "", err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("template, at, over, err", [
     ("dim --alpha 1/2 --terms 3 --levels 3 --precision {}", 4096, 4097,
      "refused: precision 4097 above the 4096-bit ceiling\n"),
