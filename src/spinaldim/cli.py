@@ -34,10 +34,13 @@ _UNECHOED = ("command", "handler", "format", "out", "svg", "timing")
 
 
 def _config(args) -> dict:
-    """Every other parsed flag in declaration order, sequences and alpha as text."""
+    """Every other parsed flag in declaration order, sequences and alpha as text.
+
+    The text is that of ``to_text()`` and ``str()``, printed by ``_int_text``.
+    """
     return {
-        key: value.to_text() if isinstance(value, TreeSequence)
-        else value if isinstance(value, (int, str)) else str(value)
+        key: ",".join(map(_int_text, value.valencies)) if isinstance(value, TreeSequence)
+        else value if isinstance(value, (int, str)) else _fraction_text(value)
         for key, value in vars(args).items() if key not in _UNECHOED
     }
 

@@ -20,7 +20,10 @@ change during a pass, so the pass's work is known before it sifts
 anything: generators x orbit x levels walked x degree, summed over the
 levels.  Each chain adds that charge to a running total over its passes
 and refuses with :class:`~spinaldim.errors.BudgetExceeded` once the total
-would exceed ``_VERIFY_WORK_LIMIT``.
+would exceed ``_VERIFY_WORK_LIMIT``.  What a chain stores is bounded the
+same way: each coset representative it stores charges its ``degree``
+entries before it is built, and the chain refuses once the total would
+exceed ``_STORED_ENTRY_LIMIT``.
 
 Internally permutations are 0-based tuples, composed and inverted by the
 kernel of :mod:`spinaldim.perms`; the public API speaks
@@ -47,6 +50,9 @@ _MAX_WITNESSES_PER_PASS = 64
 # largest work, generators x orbit x levels walked x degree summed over the
 # levels and the passes, of one chain's verification
 _VERIFY_WORK_LIMIT = 1 << 33
+# largest number of entries, degree x coset representatives over the levels,
+# that one chain stores
+_STORED_ENTRY_LIMIT = 1 << 25
 
 
 class _Level:
@@ -82,6 +88,7 @@ class StabilizerChain:
         self._rng = Random(seed)
         self._order_bound = order_bound = order_bound or math.factorial(degree)
         self._verify_work = 0
+        self._stored_entries = 0
         self.seed = seed
 
         raw = [tuple(x - 1 for x in g.images) for g in gens]
@@ -179,7 +186,8 @@ class StabilizerChain:
 
         Only inverses are stored: a new point b = g(a) has u_b = g u_a, so
         u_b^-1 = u_a^-1 g^-1 is one composition.  The verification pass
-        recovers u_b from u_b^-1 when it needs it.
+        recovers u_b from u_b^-1 when it needs it.  Each one is charged
+        before it is built.
         """
         lv = self._levels[level]
         orbit = lv.inv_transversal
@@ -187,6 +195,7 @@ class StabilizerChain:
         for a in list(orbit):
             b = new_gen[a]
             if b not in orbit:
+                self._charge_entry()
                 orbit[b] = _mul(orbit[a], new_inv)
                 queue.append(b)
         if not queue:
@@ -198,8 +207,17 @@ class StabilizerChain:
             for g, g_inv in pairs:
                 b = g[a]
                 if b not in orbit:
+                    self._charge_entry()
                     orbit[b] = _mul(u_a_inv, g_inv)
                     queue.append(b)
+
+    def _charge_entry(self) -> None:
+        """Add one stored coset representative, ``degree`` entries, to the chain's total."""
+        self._stored_entries += self.degree
+        BudgetExceeded.refuse_above(
+            self._stored_entries, _STORED_ENTRY_LIMIT,
+            f"stabilizer chain would store {self._stored_entries} entries (degree x coset "
+            f"representatives; limit {_STORED_ENTRY_LIMIT})")
 
     def _randomized_fill(self) -> None:
         """Add random products until ``_EXIT_ROUNDS`` in a row sift away.

@@ -318,8 +318,8 @@ def _branch_certifies(portraits: list[Portrait], n: int) -> bool:
     """Whether rigid witnesses certify that |X_n| reaches the closed form, level by level.
 
     The portraits come from ``_on_subtree`` and their labels are even.  The
-    domain is n >= 2, l_0 >= 4 and l_k >= 5 for 0 < k < n.  Level k takes
-    the rooted pair at v = () for k = 1 and the spinal pair at
+    domain is l_0 >= 4 and l_k >= 5 for 0 < k < n, at every level n >= 1.
+    Level k takes the rooted pair at v = () for k = 1 and the spinal pair at
     v = (1, ..., 1, 2) of level k - 1 otherwise, with l = l_{k-1}:
 
     (a) the pair's labels at v generate A_l (``_pair_is_alternating``);
@@ -337,11 +337,11 @@ def _branch_certifies(portraits: list[Portrait], n: int) -> bool:
     allow.  So |X_n| = prod (l!/2)^{m_{k-1}}, the closed form.
     """
     valencies = portraits[0].seq.valencies[:n]
-    if n < 2 or valencies[0] < 4 or any(l < 5 for l in valencies[1:]):
+    if valencies[0] < 4 or any(l < 5 for l in valencies[1:]):
         return False
     a, b, z, p = portraits
     spine = [((), (a, b))] + [((1,) * (k - 2) + (2,), (z, p)) for k in range(2, n + 1)]
-    witnesses = _peeled_witnesses(z, p, spine[:n - 2])
+    witnesses = _peeled_witnesses(z, p, spine[:max(n - 2, 0)])
     for k, (v, gens) in enumerate(spine, start=1):
         if (not _pair_is_alternating(tuple(g.labels[v] for g in gens))
                 or any(g.apply(v) != v for g in gens)):
@@ -375,11 +375,13 @@ def verify_level_action(
 
     The labels bound the order by the closed form (``_on_subtree``), so it
     is counted on the m'_n points of their subtree: in the branch domain of
-    ``_branch_certifies`` (n >= 2, l_0 - s >= 4 and l_k - s >= 5 for
-    0 < k < n) rigid witnesses certify measured = expected, certificate
-    ``"branch"``; otherwise, or when a branch check fails, a chain counts
-    it, ``"order-bound"`` when it reaches the bound and ``"schreier"`` when
-    an exhaustive pass certifies less.  ``degree`` is m_n, and
+    ``_branch_certifies`` (l_0 - s >= 4 and l_k - s >= 5 for 0 < k < n, at
+    every level n >= 1) rigid witnesses certify measured = expected,
+    certificate ``"branch"``, and at level 1 that is the root pair's chain
+    of degree l_0 - s alone; otherwise, or when a branch check fails, a
+    seeded chain on the m'_n points counts it, ``"order-bound"`` when it
+    reaches the bound and ``"schreier"`` when an exhaustive pass certifies
+    less.  ``seed`` reaches only that chain.  ``degree`` is m_n, and
     ``degree_cap`` applies to it.
     """
     if degree_cap < 1:

@@ -67,11 +67,10 @@ def test_verify_match_exit_zero():
     assert doc["expected"] == "46656000000"
     assert doc["certificate"] == "branch"
     assert doc["elapsed_ms"] is None
-    # level 1 still runs the chain, certified by the order bound
     code, out, _ = run_cli("verify", "--seq", "5,5", "--level", "1", "--group", "G")
     assert code == 0
     doc = json.loads(out)
-    assert (doc["measured"], doc["match"], doc["certificate"]) == ("60", True, "order-bound")
+    assert (doc["measured"], doc["match"], doc["certificate"]) == ("60", True, "branch")
 
 
 def test_verify_h_group():
@@ -270,6 +269,22 @@ def test_every_result_flag_is_echoed_in_declaration_order(tmp_path, argv, config
     opts = " ".join(f"{k}={v}" for k, v in config.items())
     first = target.read_text(encoding="utf-8").splitlines()[0]
     assert first == f"# spinaldim {cli.__version__} {argv[0]} {opts}"
+
+
+def test_echoed_alpha_and_sequence_are_printed_in_subquadratic_time():
+    # str() of a 200,000-digit int would need the 5,000-digit limit lifted
+    args = cli.build_parser().parse_args(["spectrum", "--alpha", "0", "--seq", "5",
+                                          "--max-den", "2", "--horizon", "1"])
+    args.alpha = Fraction(1, 10 ** 200_000)
+    args.seq = TreeSequence((5, 10 ** 200_000 + 7))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        config = cli._config(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert config["alpha"] == "1/1" + "0" * 200_000
+    assert config["seq"] == "5,1" + "0" * 199_999 + "7"
 
 
 def test_dim_csv_shape():
@@ -586,7 +601,7 @@ def test_verify_chain_pool_bytes_pinned():
                                    "--group", group, "--seed", str(seed))
             digest.update(f"{out}exit {code}\n".encode())
     assert digest.hexdigest() == (
-        "68eb41740db956f9d5de4ffabc17965102927e64f62347e0994bf240c38800b2")
+        "8fe15620454939f916a4fe7109790553e8366672b4e187bd4c5cad4ac6518f2b")
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -43,6 +43,12 @@ def _entry_digits():
     return max(math.ceil(step.window_lo.bit_length() * 0.302) for step in trace.steps)
 
 
+def _stored_entries():
+    # every coset representative but each level's shared identity is built
+    chain = schreier.StabilizerChain(alt_generators(6))
+    return chain.degree * sum(len(level.inv_transversal) - 1 for level in chain._levels)
+
+
 SEQ_55 = TreeSequence((5, 5))
 
 # (module, its limit constant, the call, the work that call charges, the class
@@ -63,6 +69,10 @@ BUDGETS = {
         schreier, "_VERIFY_WORK_LIMIT", lambda: schreier.StabilizerChain(alt_generators(6)),
         lambda: schreier.StabilizerChain(alt_generators(6))._verify_work,
         BudgetExceeded, "Schreier verification needs work "),
+    "StabilizerChain._charge_entry": (
+        schreier, "_STORED_ENTRY_LIMIT", lambda: schreier.StabilizerChain(alt_generators(6)),
+        _stored_entries,
+        BudgetExceeded, "stabilizer chain would store "),
     "synthesis._pick_prime_rich": (
         synthesis, "_SCAN_CAP", lambda: synthesis._pick_prime_rich(5, 15),
         lambda: 11, BudgetExceeded, "prime-rich scan over 11 candidates "),

@@ -234,7 +234,7 @@ def test_report_serialization():
     assert r.match is True
     assert r.seed == 3
     assert r.degree == 5
-    assert r.certificate == "order-bound"
+    assert r.certificate == "branch"
     assert r.elapsed_ms > 0
 
 
@@ -475,7 +475,8 @@ def test_section_pair_refusal_falls_back_to_the_chain(monkeypatch):
     import spinaldim.wreath as wreath
 
     monkeypatch.setattr(wreath, "_pair_is_alternating", lambda pair: False)
-    for valencies, n, which in [((7, 7), 2, "G"), ((5, 5, 5), 3, "G"), ((7, 7), 2, "H")]:
+    for valencies, n, which in [((7, 7), 2, "G"), ((5, 5, 5), 3, "G"), ((7, 7), 2, "H"),
+                                ((7,), 1, "G")]:
         r = verify_level_action(TreeSequence(valencies), n, which)
         assert r.certificate == "order-bound", valencies
         assert r.match, valencies
@@ -520,6 +521,30 @@ def test_branch_certifies_exactly_the_domain_of_the_sweep(which, low):
             assert _branch_certifies(portraits, n) == domain, valencies
             certified += domain
     assert certified == {"G": 48, "H": 18}[which]
+
+
+def test_level_one_is_certified_by_the_root_pair_alone(monkeypatch):
+    import spinaldim.wreath as wreath
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return StabilizerChain(*args, **kwargs)
+
+    monkeypatch.setattr(wreath, "StabilizerChain", counted)
+    for which, valencies in [("G", range(4, 13)), ("H", range(6, 15))]:
+        for l in valencies:
+            _pair_is_alternating.cache_clear()
+            built.clear()
+            r = verify_level_action(TreeSequence((l, 5)), 1, which, seed=7)
+            assert (r.certificate, r.measured, r.match) == ("branch", r.expected, True), l
+            # one chain, the root pair's, of degree l - s
+            degree = l - GROUPS[which][2]
+            assert [[g.degree for g in gens] for gens in built] == [[degree, degree]], l
+    # H at l_0 = 5 has the root section A_3, below the domain's l_0 - s >= 4
+    r = verify_level_action(TreeSequence((5,)), 1, "H")
+    assert (r.certificate, r.measured, r.match) == ("order-bound", 3, True)
 
 
 def test_branch_reaches_past_the_degree_cap():
