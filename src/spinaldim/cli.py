@@ -308,7 +308,6 @@ def _cmd_dim(args) -> int:
         ]
         doc["liminf_estimate"] = _nstr(report.liminf_estimate, d)
         doc["limsup_estimate"] = _nstr(report.limsup_estimate, d)
-        doc["flagged_levels"] = report.flagged_levels
         _emit(_json_text(doc), args.out)
         return 0
     lines = [_csv_comment(args)]

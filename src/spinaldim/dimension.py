@@ -11,25 +11,47 @@ the two log-orders:
 
 The envelope drops the powers of two and sandwiches
 
-    ratio_n = sum m'_j ln (l_j-2)! / sum m_j ln l_j!
+    ratio_n = sum m'_j ln (l_j-2)! / F,    F = sum m_j ln l_j!
 
 between  lower_n = a/(1 + T1 + T2)  and
 
-    upper_n = (n m'_{n-1} + sum m'_j l_j (ln l_j - 1)) / sum m_j ln l_j!
+    upper_n = (n m'_{n-1} + sum m'_j l_j (ln l_j - 1)) / F
 
-where a = m'_{n-1}/m_{n-1}.  Splitting each l_j! as l_j (l_j-1) (l_j-2)!
-gives T1 = sum m_j ln l_j / E and T2 = sum m_j ln (l_j-1) / E with
-E = sum m_j ln (l_j-2)!.  The upper bound trades each ln (l_j-2)! for the
-Stirling-type bound 1 + l_j (ln l_j - 1), every unit weighted by the
-largest m'_{n-1}.
+where a = alpha_{n-1} and alpha_j = m'_j/m_j.  Splitting each l_j! as
+l_j (l_j-1) (l_j-2)! gives T1 = sum m_j ln l_j / E and
+T2 = sum m_j ln (l_j-1) / E with E = sum m_j ln (l_j-2)!.  The upper bound
+trades each ln (l_j-2)! for the Stirling-type bound 1 + l_j (ln l_j - 1),
+every unit weighted by the largest m'_{n-1}.
+
+Every l_j is at least 5 (``_require_subgroup_side``), and there the four
+envelope inequalities are theorems, so no row re-tests them:
+
+1. lower_n <= ratio_n.  1 + T1 + T2 = F/E, so lower_n = alpha_{n-1} E/F and
+   ratio_n - lower_n = sum m_j (alpha_j - alpha_{n-1}) ln (l_j-2)! / F,
+   which is >= 0 because alpha_j does not increase with j.
+2. ratio_n <= upper_n.  upper_n - ratio_n = (n m'_{n-1} + sum m'_j delta(l_j)) / F
+   with delta(l) = l (ln l - 1) - ln (l-2)!.  Each ln i is at most the
+   integral of ln over [i, i+1], so ln k! <= (k+1) ln (k+1) - k, and
+   l ln l - (l-1) ln (l-1) >= ln (l-1) + 1 by the mean value theorem;
+   together delta(l) >= ln (l-1) - 1 > 0 for l >= 4.
+3. T2 <= T1, term by term: ln (l_j-1) < ln l_j over the same E > 0.
+4. T1 <= 8/l with l = l_{n-1}.  ln x / x falls for x >= e and
+   m_{j+1} <= m_{n-1} / 5^(n-2-j), so
+   sum_{j<n-1} m_j ln l_j = sum_{j<n-1} m_{j+1} ln l_j / l_j
+   <= (ln 5/5) * 1.25 * m_{n-1} < 0.41 m_{n-1}.
+   With E >= m_{n-1} ln (l-2)! this gives T1 <= (0.41 + ln l) / ln (l-2)!,
+   and l (0.41 + ln l) <= 8 ln (l-2)! for every l >= 5: 10.1 <= 14.3 at
+   l = 5, and the right side gains 8 ln (l-1) from l to l+1 while the left
+   gains at most 1.41 + ln (l+1).
 
 The sums are exact ints at a fixed binary scale whose only roundings are
-the logs themselves, so t1, t2, ratio, upper, d, a and t1_cap = 8/l_{n-1}
-are each one correctly rounded quotient; only lower and the tolerance
-flags are worked at the row's working precision.  ``partial_dimension``
-builds one level's row from these formulas, and ``dimension_report`` asks
-it for each level, so a deep report evaluates each valency's logs once (in
-``log_order_sums``) and reads every row off the cached sums.
+the logs themselves, so t1, t2, ratio, upper, d and a are each one
+correctly rounded quotient; only lower is worked at the row's working
+precision, and a row holds the four inequalities to that precision.
+``partial_dimension`` builds one level's row from these formulas, and
+``dimension_report`` asks it for each level, so a deep report evaluates
+each valency's logs once (in ``log_order_sums``) and reads every row off
+the cached sums.
 """
 
 from __future__ import annotations
@@ -87,10 +109,6 @@ class EnvelopeRow(NamedTuple):
     upper: mpf
     t1: mpf
     t2: mpf
-    t1_cap: mpf
-    sandwich_ok: bool = True
-    t_order_ok: bool = True
-    t1_cap_ok: bool = True
 
 
 class DimensionRow(NamedTuple):
@@ -106,7 +124,6 @@ class DimensionReport(NamedTuple):
     rows: list[DimensionRow]
     liminf_estimate: mpf
     limsup_estimate: mpf
-    flagged_levels: list[int]  # levels whose envelope row fails the sandwich check
 
 
 def _quotient(p: int, q: int, prec: int) -> tuple:
@@ -120,9 +137,9 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     """The level-n quotient d_n together with its envelope row.
 
     t1, t2, ratio, upper and d are each one correctly rounded quotient of
-    the exact prefix sums, and a and t1_cap of exact rationals.  Only lower
-    and the flags are worked at wp bits on raw mpf values, and only the
-    fields the row keeps become mpf objects.
+    the exact prefix sums, and a of an exact rational.  Only lower is
+    worked at wp bits on raw mpf values, and only the fields the row keeps
+    become mpf objects.
     """
     _require_precision(precision_bits)
     _require_subgroup_side(seq, n)
@@ -130,7 +147,7 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
         raise ValueError(f"level {n} outside 1..{len(seq)}; the smallest reported level is 1")
 
     import mpmath
-    from mpmath.libmp import fone, mpf_add, mpf_div, mpf_le
+    from mpmath.libmp import fone, mpf_add, mpf_div
     from mpmath.libmp import round_nearest as rnd
 
     wp = precision_bits + _GUARD_BITS
@@ -138,13 +155,8 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     prefixes = _alpha_prefixes(seq.valencies)
     t1 = _quotient(sums.split_l[n], sums.split_sub[n], wp)
     t2 = _quotient(sums.split_l1[n], sums.split_sub[n], wp)
-    ratio = _quotient(sums.fact_sub[n], sums.fact[n], wp)
-    upper = _quotient(n * sums.size_sub[n - 1] + sums.stirling_sub[n], sums.fact[n], wp)
     alpha_prefix = prefixes[n - 1]
     a = _quotient(alpha_prefix.numerator, alpha_prefix.denominator, wp)
-    lower = mpf_div(a, mpf_add(mpf_add(fone, t1, wp, rnd), t2, wp, rnd), wp, rnd)
-    t1_cap = _quotient(8, seq[n - 1], wp)
-    tol = (0, 1, -(precision_bits // 2), 1)  # 2^-(precision_bits // 2)
     make = mpmath.mp.make_mpf
     return DimensionRow(
         n=n,
@@ -153,16 +165,12 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
         envelope=EnvelopeRow(
             n=n,
             alpha_prefix=alpha_prefix,
-            ratio=make(ratio),
-            lower=make(lower),
-            upper=make(upper),
+            ratio=make(_quotient(sums.fact_sub[n], sums.fact[n], wp)),
+            lower=make(mpf_div(a, mpf_add(mpf_add(fone, t1, wp, rnd), t2, wp, rnd), wp, rnd)),
+            upper=make(_quotient(n * sums.size_sub[n - 1] + sums.stirling_sub[n],
+                                 sums.fact[n], wp)),
             t1=make(t1),
             t2=make(t2),
-            t1_cap=make(t1_cap),
-            sandwich_ok=(mpf_le(lower, mpf_add(ratio, tol, wp, rnd))
-                         and mpf_le(ratio, mpf_add(upper, tol, wp, rnd))),
-            t_order_ok=mpf_le(t2, mpf_add(t1, tol, wp, rnd)),
-            t1_cap_ok=mpf_le(t1, mpf_add(t1_cap, tol, wp, rnd)),
         ),
     )
 
@@ -173,15 +181,16 @@ def dimension_report(seq: TreeSequence, levels: int, precision_bits: int = 128) 
         raise ValueError("need at least one level")
     if levels > len(seq):
         raise ValueError(f"levels {levels} exceed sequence length {len(seq)}")
-    rows = [partial_dimension(seq, n, precision_bits) for n in range(1, levels + 1)]
+    # row n reads only j < n, so the unreported levels need no logs
+    prefix = TreeSequence(seq.valencies[:levels])
+    rows = [partial_dimension(prefix, n, precision_bits) for n in range(1, levels + 1)]
     tail = [r.d for r in rows[len(rows) // 2 :]]
     return DimensionReport(
-        sequence=seq.valencies[:levels],
+        sequence=prefix.valencies,
         precision_bits=precision_bits,
         rows=rows,
         liminf_estimate=min(tail),
         limsup_estimate=max(tail),
-        flagged_levels=[r.n for r in rows if not r.envelope.sandwich_ok],
     )
 
 
@@ -217,7 +226,7 @@ def chain_rule_table(
         if c != b - 2:
             raise ValueError("inner sequence is not the middle one shifted by 2")
     _require_subgroup_side(seq_h, n_max)
-    log_g, log_h, log_k = (log_order_sums(s.valencies, precision_bits).order
+    log_g, log_h, log_k = (log_order_sums(s.valencies[:n_max], precision_bits).order
                            for s in (seq_g, seq_h, seq_k))
     wp = precision_bits + _GUARD_BITS
     make = mpmath.mp.make_mpf
@@ -268,6 +277,6 @@ def rigid_product_partial(
         raise ValueError(f"k={k} outside 1..{m_n}")
     if not n < m <= len(seq):
         raise ValueError(f"horizon m={m} must satisfy {n} < m <= {len(seq)}")
-    order = log_order_sums(seq.valencies, precision_bits).order
+    order = log_order_sums(seq.valencies[:m], precision_bits).order
     return mpmath.mp.make_mpf(
         _quotient(k * (order[m] - order[n]), m_n * order[m], precision_bits + _GUARD_BITS))

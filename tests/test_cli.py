@@ -308,7 +308,7 @@ def test_dim_json_fields():
     row = doc["rows"][0]
     assert set(row) == {"n", "alpha_n", "d_n", "lower_n", "upper_n", "ratio_n", "T1", "T2"}
     assert set(doc) == {"tool", "version", "command", "config", "sequence", "rows",
-                        "liminf_estimate", "limsup_estimate", "flagged_levels"}
+                        "liminf_estimate", "limsup_estimate"}
 
 
 def test_spectrum_json_and_svg(tmp_path):
@@ -522,7 +522,7 @@ def test_json_text_matches_json_dumps():
     ("synth --alpha 1/10 --terms 18",
      "08093cfb86396d3dc4dc50562adc9889cc2c513f91ce1a0e19009bba23e80399"),
     ("dim --alpha 1/2 --terms 15 --levels 15 --format json",
-     "8712a21e244e092bf33c36cf408920fa8b768fa65a7b1bb9c99ec3373d8ae11b"),
+     "7095485f65e6c4ab3b8cb8b42c2795dda899930cb02fc126b8c541c88c143d60"),
     ("dim --alpha 1/2 --terms 15 --levels 15 --precision 256",
      "cf0ac3c0af1b426d7f148f2ef35d16c37e414b7cd2d1e1734cf78607bdfe3622"),
     ("spectrum --alpha 1/3 --seq 8,32,32,32,32,32 --max-den 120 --horizon 6",

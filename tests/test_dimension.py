@@ -16,15 +16,30 @@ from spinaldim import (
     rigid_product_dimension,
     rigid_product_partial,
     synthesize,
+    wreath,
 )
-from spinaldim.dimension import _MAX_PRECISION, EnvelopeRow, _quotient
-from spinaldim.wreath import _GUARD_BITS
+from spinaldim.dimension import _MAX_PRECISION, _quotient
+from spinaldim.wreath import _GUARD_BITS, log_order_sums
 
 CONST5 = TreeSequence((5,) * 40)
 
 
 def mpf_of(q: Fraction) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / q.denominator
+
+
+def assert_envelope_holds(env, l: int, bits: int = 128) -> None:
+    """The module's four envelope theorems on one row, each to a relative 2^-bits.
+
+    l is the row's top valency l_{n-1}, whose 8/l caps T1.
+    """
+    with mpmath.workprec(4 * bits):
+        slack = mpmath.mpf(2) ** -bits
+        for name, small, big in (("lower <= ratio", env.lower, env.ratio),
+                                 ("ratio <= upper", env.ratio, env.upper),
+                                 ("T2 <= T1", env.t2, env.t1),
+                                 ("T1 <= 8/l", env.t1, mpmath.mpf(8) / l)):
+            assert small <= big + abs(big) * slack, (env.n, name)
 
 
 def test_d1_and_d2_against_direct_logs():
@@ -70,17 +85,9 @@ def test_alpha_target_values():
     assert alpha_target(seq, 3) == Fraction(4323, 8645)
 
 
-def test_envelope_row_flags_default_true():
-    row = EnvelopeRow(1, Fraction(1), *(mpmath.mpf(0),) * 6)
-    assert (row.sandwich_ok, row.t_order_ok, row.t1_cap_ok) == (True, True, True)
-
-
 def test_envelope_t_checks_constant_five():
     for n in (1, 2, 5, 10):
-        env = partial_dimension(CONST5, n).envelope
-        assert env.t_order_ok  # T2 <= T1
-        assert env.t1_cap_ok  # T1 <= 8/5
-        assert env.sandwich_ok
+        assert_envelope_holds(partial_dimension(CONST5, n).envelope, 5)
 
 
 def test_envelope_sandwich_synthesized():
@@ -142,11 +149,12 @@ def test_report_estimates_converged_case():
     (TreeSequence((5,) * 10), 10),
     (TreeSequence((7,) * 10), 10),
     (TreeSequence((27, 27)), 2),
+    # the valencies 5..12 of the 200-level constant-tree scans
+    *((TreeSequence((l,) * 200), 200) for l in range(5, 13)),
 ])
 def test_report_flags_no_level_whose_sandwich_holds(seq, levels):
-    report = dimension_report(seq, levels)
-    assert all(row.envelope.sandwich_ok for row in report.rows)
-    assert report.flagged_levels == []
+    for row in dimension_report(seq, levels).rows:
+        assert_envelope_holds(row.envelope, seq[row.n - 1])
 
 
 def test_report_tail_spread_of_drifting_constant_tree():
@@ -286,6 +294,40 @@ def test_report_rows_equal_single_level_rows(envelope_sequences):
             assert row == partial_dimension(seq, n)
 
 
+def test_prefix_reports_read_only_the_reported_levels(monkeypatch):
+    seq = TreeSequence((5, 9, 6, 13, 7, 1009, 1013))
+    full = dimension_report(seq, len(seq))
+    for levels in (1, 2, 5):
+        report = dimension_report(seq, levels)
+        assert report.rows == full.rows[:levels]
+        assert report.sequence == seq.valencies[:levels]
+    g, h, k = (TreeSequence(tuple(l + s for l in seq.valencies)) for s in (4, 2, 0))
+    assert chain_rule_table(g, h, k, 5) == chain_rule_table(g, h, k, len(seq))[:5]
+    assert rigid_product_partial(seq, 1, 2, 5) == rigid_product_partial(
+        TreeSequence(seq.valencies[:5]), 1, 2, 5)
+
+    # no log is evaluated for a valency past level 5: the largest left is g's 13 + 4
+    log_order_sums.cache_clear()
+    calls = []
+    real = wreath.lnfact
+
+    def lnfact(n, precision_bits=128):
+        calls.append(n)
+        return real(n, precision_bits)
+
+    monkeypatch.setattr(wreath, "lnfact", lnfact)
+    dimension_report(seq, 5)
+    chain_rule_table(g, h, k, 5)
+    rigid_product_partial(seq, 1, 2, 5)
+    assert max(calls) == 17
+
+    # the log-sum budget counts only the reported levels
+    huge = TreeSequence((5, 7, 1 << 17_000_000))
+    assert len(dimension_report(huge, 2).rows) == 2
+    with pytest.raises(BudgetExceeded, match="^log-order sums over 3 levels"):
+        dimension_report(huge, 3)
+
+
 @pytest.mark.parametrize("valencies, ok_level, bad_level, bad", [
     ((5, 4), 1, 2, 4),
     ((7, 9, 4, 6), 2, 4, 4),
@@ -317,7 +359,6 @@ def test_rows_match_a_direct_recomputation_at_twice_the_working_precision(valenc
         ln2 = mpmath.log(2)
         fact = fact_sub = split_sub = split_l = split_l1 = stirling = order = order_sub = 0
         m = m_sub = 1
-        tol = mpmath.mpf(2) ** -(bits // 2)
         for n, (l, row) in enumerate(zip(valencies, rows), start=1):
             lf, lf_sub, ln_l = mpmath.loggamma(l + 1), mpmath.loggamma(l - 1), mpmath.log(l)
             fact += m * lf
@@ -335,15 +376,12 @@ def test_rows_match_a_direct_recomputation_at_twice_the_working_precision(valenc
                 "t2": split_l1 / split_sub,
                 "upper": (n * m_sub + stirling) / fact,
             }
-            lower = mpmath.mpf(m_sub) / m / (1 + want["t1"] + want["t2"])
+            want["lower"] = mpmath.mpf(m_sub) / m / (1 + want["t1"] + want["t2"])
             env = row.envelope
             for key, value in want.items():
                 got = row.d if key == "d" else getattr(env, key)
                 assert abs(got - value) <= abs(value) * mpmath.mpf(2) ** -bits, (n, key)
-            assert env.sandwich_ok == (lower <= want["ratio"] + tol
-                                       and want["ratio"] <= want["upper"] + tol), n
-            assert env.t_order_ok == (want["t2"] <= want["t1"] + tol), n
-            assert env.t1_cap_ok == (want["t1"] <= mpmath.mpf(8) / l + tol), n
+            assert_envelope_holds(env, l, bits)
             m *= l
             m_sub *= l - 2
 
