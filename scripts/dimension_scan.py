@@ -33,11 +33,10 @@ def emit_block(tag, seq, levels, precision):
     print(f"# family={tag} sequence_prefix={','.join(map(str, seq.valencies[:4]))}...")
     print("n,alpha_n,d_n,lower_n,upper_n")
     for row in report.rows:
-        env = row.envelope
         alpha = _quotient(row.alpha.numerator, row.alpha.denominator, precision + _GUARD_BITS)
         print(
             f"{row.n},{to_str(alpha, DIGITS)},{to_str(row.d._mpf_, DIGITS)},"
-            f"{to_str(env.lower._mpf_, DIGITS)},{to_str(env.upper._mpf_, DIGITS)}"
+            f"{to_str(row.lower._mpf_, DIGITS)},{to_str(row.upper._mpf_, DIGITS)}"
         )
     print(f"# liminf_estimate={to_str(report.liminf_estimate._mpf_, DIGITS)}")
     print()

@@ -19,7 +19,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__, _end_process
-from .dimension import _MAX_PRECISION, _quotient, _require_precision, dimension_report
+from .dimension import _MAX_PRECISION, _ratio, _require_precision, dimension_report
 from .errors import MISMATCH_ERROR, USAGE_ERROR, BudgetExceeded, exit_code
 from .portraits import GROUPS, SPINAL_KINDS, Portrait
 from .synthesis import STRATEGIES, spectrum_sample, spectrum_svg, synthesize
@@ -67,10 +67,7 @@ def _digits_precision(digits: int) -> int:
 
 def _ratio_text(q: Fraction, digits: int) -> str:
     """``q`` >= 0 to ``digits`` significant digits, rounded once to guard bits beyond them."""
-    import mpmath
-
-    prec = _digits_precision(digits)
-    return _nstr(mpmath.mp.make_mpf(_quotient(q.numerator, q.denominator, prec)), digits)
+    return _nstr(_ratio(q.numerator, q.denominator, _digits_precision(digits)), digits)
 
 
 # measured crossover: below about 2**15 bits the built-in conversion is faster
@@ -298,11 +295,11 @@ def _cmd_dim(args) -> int:
                 "n": r.n,
                 "alpha_n": _fraction_text(r.alpha),
                 "d_n": _nstr(r.d, d),
-                "lower_n": _nstr(r.envelope.lower, d),
-                "upper_n": _nstr(r.envelope.upper, d),
-                "ratio_n": _nstr(r.envelope.ratio, d),
-                "T1": _nstr(r.envelope.t1, d),
-                "T2": _nstr(r.envelope.t2, d),
+                "lower_n": _nstr(r.lower, d),
+                "upper_n": _nstr(r.upper, d),
+                "ratio_n": _nstr(r.ratio, d),
+                "T1": _nstr(r.t1, d),
+                "T2": _nstr(r.t2, d),
             }
             for r in report.rows
         ]
@@ -315,8 +312,8 @@ def _cmd_dim(args) -> int:
     for r in report.rows:
         lines.append(
             f"{r.n},{_int_text(r.alpha.numerator)},{_int_text(r.alpha.denominator)},"
-            f"{_nstr(r.d, d)},{_nstr(r.envelope.lower, d)},{_nstr(r.envelope.upper, d)},"
-            f"{_nstr(r.envelope.t1, d)},{_nstr(r.envelope.t2, d)}\n"
+            f"{_nstr(r.d, d)},{_nstr(r.lower, d)},{_nstr(r.upper, d)},"
+            f"{_nstr(r.t1, d)},{_nstr(r.t2, d)}\n"
         )
     _emit("".join(lines), args.out)
     return 0

@@ -46,8 +46,10 @@ envelope inequalities are theorems, so no row re-tests them:
 
 The sums are exact ints at a fixed binary scale whose only roundings are
 the logs themselves, so t1, t2, ratio, upper, d and a are each one
-correctly rounded quotient; only lower is worked at the row's working
-precision, and a row holds the four inequalities to that precision.
+correctly rounded quotient.  On those sums 1 + T1 + T2 = F'/E with
+F' = E + sum m_j ln l_j + sum m_j ln (l_j-1), so lower is a times the
+correctly rounded E/F', multiplied once at the row's working precision,
+and a row holds the four inequalities to that precision.
 ``partial_dimension`` builds one level's row from these formulas, and
 ``dimension_report`` asks it for each level, so a deep report evaluates
 each valency's logs once (in ``log_order_sums``) and reads every row off
@@ -82,7 +84,7 @@ def _require_precision(precision_bits: int) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _alpha_prefixes(valencies: tuple[int, ...]) -> tuple[Fraction, ...]:
+def _alphas(valencies: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Entry n is prod_{j<n} (l_j - 2)/l_j, for n = 0..len(valencies), in one pass."""
     from fractions import Fraction
 
@@ -96,26 +98,20 @@ def alpha_target(seq: TreeSequence, n: int) -> Fraction:
     """prod_{j<n} (l_j - 2)/l_j as an exact rational."""
     if not 0 <= n <= len(seq):
         raise ValueError(f"level {n} outside 0..{len(seq)}")
-    return _alpha_prefixes(seq.valencies)[n]
+    return _alphas(seq.valencies)[n]
 
 
-class EnvelopeRow(NamedTuple):
-    """Per-level proof quantities for the two-sided dimension estimate."""
+class DimensionRow(NamedTuple):
+    """Level n's quotient d_n, its alpha_n and the envelope that brackets it."""
 
     n: int
-    alpha_prefix: Fraction
+    d: mpf
+    alpha: Fraction
     ratio: mpf
     lower: mpf
     upper: mpf
     t1: mpf
     t2: mpf
-
-
-class DimensionRow(NamedTuple):
-    n: int
-    d: mpf
-    alpha: Fraction
-    envelope: EnvelopeRow
 
 
 class DimensionReport(NamedTuple):
@@ -133,13 +129,23 @@ def _quotient(p: int, q: int, prec: int) -> tuple:
     return mpf_div((0, p, 0, p.bit_length()), (0, q, 0, q.bit_length()), prec, round_nearest)
 
 
+def _ratio(p: int, q: int, prec: int) -> mpf:
+    """``_quotient(p, q, prec)`` as an mpf object."""
+    import mpmath
+
+    return mpmath.mp.make_mpf(_quotient(p, q, prec))
+
+
 def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> DimensionRow:
-    """The level-n quotient d_n together with its envelope row.
+    """The level-n quotient d_n together with its envelope.
 
     t1, t2, ratio, upper and d are each one correctly rounded quotient of
-    the exact prefix sums, and a of an exact rational.  Only lower is
-    worked at wp bits on raw mpf values, and only the fields the row keeps
-    become mpf objects.
+    the exact prefix sums; lower is a times E/F', both correctly rounded,
+    multiplied once at wp bits.  It reads the log-order sums and alpha
+    products of every level of ``seq``, not only of the n the row needs:
+    row 2 of the 19-term minimal 1/3 sequence took 76 ms (2-vCPU VM)
+    against 0.12 ms for its 2-level report.  A caller who wants one
+    shallow row passes the prefix, as ``dimension_report`` does.
     """
     _require_precision(precision_bits)
     _require_subgroup_side(seq, n)
@@ -147,31 +153,23 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
         raise ValueError(f"level {n} outside 1..{len(seq)}; the smallest reported level is 1")
 
     import mpmath
-    from mpmath.libmp import fone, mpf_add, mpf_div
-    from mpmath.libmp import round_nearest as rnd
+    from mpmath.libmp import mpf_mul, round_nearest
 
     wp = precision_bits + _GUARD_BITS
     sums = log_order_sums(seq.valencies, precision_bits)
-    prefixes = _alpha_prefixes(seq.valencies)
-    t1 = _quotient(sums.split_l[n], sums.split_sub[n], wp)
-    t2 = _quotient(sums.split_l1[n], sums.split_sub[n], wp)
-    alpha_prefix = prefixes[n - 1]
-    a = _quotient(alpha_prefix.numerator, alpha_prefix.denominator, wp)
-    make = mpmath.mp.make_mpf
+    alphas = _alphas(seq.valencies)
+    e = sums.split_sub[n]
+    a = _quotient(alphas[n - 1].numerator, alphas[n - 1].denominator, wp)
+    lower = mpf_mul(a, _quotient(e, e + sums.split_l[n] + sums.split_l1[n], wp), wp, round_nearest)
     return DimensionRow(
         n=n,
-        d=make(_quotient(sums.order_sub[n], sums.order[n], wp)),
-        alpha=prefixes[n],
-        envelope=EnvelopeRow(
-            n=n,
-            alpha_prefix=alpha_prefix,
-            ratio=make(_quotient(sums.fact_sub[n], sums.fact[n], wp)),
-            lower=make(mpf_div(a, mpf_add(mpf_add(fone, t1, wp, rnd), t2, wp, rnd), wp, rnd)),
-            upper=make(_quotient(n * sums.size_sub[n - 1] + sums.stirling_sub[n],
-                                 sums.fact[n], wp)),
-            t1=make(t1),
-            t2=make(t2),
-        ),
+        d=_ratio(sums.order_sub[n], sums.order[n], wp),
+        alpha=alphas[n],
+        ratio=_ratio(sums.fact_sub[n], sums.fact[n], wp),
+        lower=mpmath.mp.make_mpf(lower),
+        upper=_ratio(n * sums.size_sub[n - 1] + sums.stirling_sub[n], sums.fact[n], wp),
+        t1=_ratio(sums.split_l[n], e, wp),
+        t2=_ratio(sums.split_l1[n], e, wp),
     )
 
 
@@ -229,14 +227,13 @@ def chain_rule_table(
     log_g, log_h, log_k = (log_order_sums(s.valencies[:n_max], precision_bits).order
                            for s in (seq_g, seq_h, seq_k))
     wp = precision_bits + _GUARD_BITS
-    make = mpmath.mp.make_mpf
     out = []
     with mpmath.workprec(wp):
         for n in range(1, n_max + 1):
             lg, lh, lk = log_g[n], log_h[n], log_k[n]
-            q_hg = make(_quotient(lh, lg, wp))
-            q_kh = make(_quotient(lk, lh, wp))
-            q_kg = make(_quotient(lk, lg, wp))
+            q_hg = _ratio(lh, lg, wp)
+            q_kh = _ratio(lk, lh, wp)
+            q_kg = _ratio(lk, lg, wp)
             prod = q_hg * q_kh
             out.append(
                 ChainRuleRow(
@@ -269,8 +266,6 @@ def rigid_product_partial(
     Converges to k/m_n from below as m grows: the numerator only collects
     the tail of the ambient log-order that lies below the chosen vertices.
     """
-    import mpmath
-
     _require_precision(precision_bits)
     m_n = seq.level_size(n)
     if not 1 <= k <= m_n:
@@ -278,5 +273,4 @@ def rigid_product_partial(
     if not n < m <= len(seq):
         raise ValueError(f"horizon m={m} must satisfy {n} < m <= {len(seq)}")
     order = log_order_sums(seq.valencies[:m], precision_bits).order
-    return mpmath.mp.make_mpf(
-        _quotient(k * (order[m] - order[n]), m_n * order[m], precision_bits + _GUARD_BITS))
+    return _ratio(k * (order[m] - order[n]), m_n * order[m], precision_bits + _GUARD_BITS)

@@ -187,8 +187,8 @@ def denominator_witness(q: Fraction, seq: TreeSequence, horizon: int) -> Members
     q = Fraction(q)
     if not 0 <= q <= 1:
         raise ValueError("rational must lie in [0, 1]")
-    if horizon > len(seq):
-        raise ValueError(f"horizon {horizon} exceeds sequence length {len(seq)}")
+    if not 0 <= horizon <= len(seq):
+        raise ValueError(f"horizon must lie in 0..{len(seq)}")
     b = q.denominator
     used = []
     for j in range(horizon):

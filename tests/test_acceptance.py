@@ -161,11 +161,11 @@ def test_a5_envelope_sandwich():
     seq = synthesize(Fraction(1, 2), 12).sequence()
     tol = mpmath.mpf(2) ** -56
     for n in range(1, 13):
-        env = partial_dimension(seq, n, 128).envelope
-        assert env.lower <= env.ratio + tol, f"lower bound fails at n={n}"
-        assert env.ratio <= env.upper + tol, f"upper bound fails at n={n}"
-        assert env.t2 <= env.t1 + tol, f"T2 > T1 at n={n}"
-        assert env.t1 <= mpmath.mpf(8) / seq[n - 1] + tol, f"T1 > 8/l at n={n}"
+        row = partial_dimension(seq, n, 128)
+        assert row.lower <= row.ratio + tol, f"lower bound fails at n={n}"
+        assert row.ratio <= row.upper + tol, f"upper bound fails at n={n}"
+        assert row.t2 <= row.t1 + tol, f"T2 > T1 at n={n}"
+        assert row.t1 <= mpmath.mpf(8) / seq[n - 1] + tol, f"T1 > 8/l at n={n}"
     elapsed = time.perf_counter() - start
     report("A5", elapsed < 10.0, f"two-sided envelopes hold for n=1..12 in {elapsed:.2f}s")
 

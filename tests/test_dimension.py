@@ -28,18 +28,18 @@ def mpf_of(q: Fraction) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def assert_envelope_holds(env, l: int, bits: int = 128) -> None:
+def assert_envelope_holds(row, l: int, bits: int = 128) -> None:
     """The module's four envelope theorems on one row, each to a relative 2^-bits.
 
     l is the row's top valency l_{n-1}, whose 8/l caps T1.
     """
     with mpmath.workprec(4 * bits):
         slack = mpmath.mpf(2) ** -bits
-        for name, small, big in (("lower <= ratio", env.lower, env.ratio),
-                                 ("ratio <= upper", env.ratio, env.upper),
-                                 ("T2 <= T1", env.t2, env.t1),
-                                 ("T1 <= 8/l", env.t1, mpmath.mpf(8) / l)):
-            assert small <= big + abs(big) * slack, (env.n, name)
+        for name, small, big in (("lower <= ratio", row.lower, row.ratio),
+                                 ("ratio <= upper", row.ratio, row.upper),
+                                 ("T2 <= T1", row.t2, row.t1),
+                                 ("T1 <= 8/l", row.t1, mpmath.mpf(8) / l)):
+            assert small <= big + abs(big) * slack, (row.n, name)
 
 
 def test_d1_and_d2_against_direct_logs():
@@ -87,25 +87,24 @@ def test_alpha_target_values():
 
 def test_envelope_t_checks_constant_five():
     for n in (1, 2, 5, 10):
-        assert_envelope_holds(partial_dimension(CONST5, n).envelope, 5)
+        assert_envelope_holds(partial_dimension(CONST5, n), 5)
 
 
 def test_envelope_sandwich_synthesized():
     seq = synthesize(Fraction(1, 2), 12).sequence()
     for n in range(1, 13):
-        env = partial_dimension(seq, n).envelope
+        row = partial_dimension(seq, n)
         tol = mpmath.mpf(2) ** -56
-        assert env.lower <= env.ratio + tol
-        assert env.ratio <= env.upper + tol
-        assert env.t2 <= env.t1 + tol
-        assert env.t1 <= mpmath.mpf(8) / seq[n - 1] + tol
+        assert row.lower <= row.ratio + tol
+        assert row.ratio <= row.upper + tol
+        assert row.t2 <= row.t1 + tol
+        assert row.t1 <= mpmath.mpf(8) / seq[n - 1] + tol
 
 
-def test_envelope_alpha_prefix_is_exact_product():
+def test_row_alpha_is_exact_product():
     seq = synthesize(Fraction(1, 3), 6).sequence()
-    for n in (1, 3, 6):
-        env = partial_dimension(seq, n).envelope
-        assert env.alpha_prefix == alpha_target(seq, n - 1)
+    for n in range(1, 7):
+        assert partial_dimension(seq, n).alpha == alpha_target(seq, n)
 
 
 def test_constant_sequences_decrease_to_zero():
@@ -154,7 +153,7 @@ def test_report_estimates_converged_case():
 ])
 def test_report_flags_no_level_whose_sandwich_holds(seq, levels):
     for row in dimension_report(seq, levels).rows:
-        assert_envelope_holds(row.envelope, seq[row.n - 1])
+        assert_envelope_holds(row, seq[row.n - 1])
 
 
 def test_report_tail_spread_of_drifting_constant_tree():
@@ -280,9 +279,9 @@ def test_envelope_matches_top_down_reference(envelope_sequences):
         for n in range(1, len(seq) + 1):
             ref = reference_envelope(seq, n)
             for bits in ((128, 256) if n % 2 else (256, 128)):
-                env = partial_dimension(seq, n, bits).envelope
+                row = partial_dimension(seq, n, bits)
                 for key, want in ref.items():
-                    err = abs(getattr(env, key) - want)
+                    err = abs(getattr(row, key) - want)
                     assert err < tolerances[bits], (name, n, bits, key)
 
 
@@ -377,11 +376,10 @@ def test_rows_match_a_direct_recomputation_at_twice_the_working_precision(valenc
                 "upper": (n * m_sub + stirling) / fact,
             }
             want["lower"] = mpmath.mpf(m_sub) / m / (1 + want["t1"] + want["t2"])
-            env = row.envelope
+            slack = mpmath.mpf(2) ** -bits
             for key, value in want.items():
-                got = row.d if key == "d" else getattr(env, key)
-                assert abs(got - value) <= abs(value) * mpmath.mpf(2) ** -bits, (n, key)
-            assert_envelope_holds(env, l, bits)
+                assert abs(getattr(row, key) - value) <= abs(value) * slack, (n, key)
+            assert_envelope_holds(row, l, bits)
             m *= l
             m_sub *= l - 2
 

@@ -228,6 +228,15 @@ def test_denominator_witness_examples():
         denominator_witness(Fraction(1, 2), SEQ, 4)
 
 
+def test_denominator_witness_refuses_a_horizon_outside_the_sequence():
+    # a negative horizon once read as an empty prefix: "yes" for 1 and "no" for 1/3
+    for horizon in (-1, len(SEQ) + 1):
+        for q in (Fraction(1), Fraction(1, 3)):
+            with pytest.raises(ValueError, match=f"^horizon must lie in 0..{len(SEQ)}$"):
+                denominator_witness(q, SEQ, horizon)
+    assert denominator_witness(Fraction(1), SEQ, 0).witness == ()
+
+
 def test_witness_revalidates():
     for q in (Fraction(2, 33), Fraction(1, 3), Fraction(5, 11), Fraction(1, 33)):
         res = denominator_witness(q, SEQ, 3)
