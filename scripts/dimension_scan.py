@@ -3,7 +3,10 @@
 
 Prints one CSV block per family: constant-valency trees (dimension of the
 embedded subgroup tends to zero) and synthesized trees for a list of
-targets (the quotients settle on the target).
+targets (the quotients settle on the target).  The columns lower_n and
+upper_n bracket ratio_n, d_n without its ln 2 terms (printed only by
+``spinaldim dim --format json``), not d_n: constant-5 row 1 reads
+d_1 = 0.268... and lower_1 = 0.374..., and lower_1 = ratio_1.
 
 Usage:
     python3 scripts/dimension_scan.py [--levels 20] [--targets 0.5,0.25]
@@ -60,14 +63,16 @@ def _scan(args: argparse.Namespace) -> None:
     targets = args.targets.split(",") if args.targets else []
     if "" in targets:
         raise ValueError(f"empty entry {targets.index('') + 1} in target list {args.targets!r}")
+    alphas = []  # every entry parses before the first block is printed
+    for text in targets:
+        try:
+            alphas.append(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"target {text!r} has a zero denominator") from None
     for l in constants:
         seq = TreeSequence((l,) * args.levels)
         emit_block(f"constant-{l}", seq, args.levels, args.precision)
-    for text in targets:
-        try:
-            alpha = Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"target {text!r} has a zero denominator") from None
+    for text, alpha in zip(targets, alphas):
         levels = min(args.levels, 14)  # minimal-strategy entries double in size
         trace = synthesize(alpha, levels)
         emit_block(f"target-{text}", trace.sequence(), levels, args.precision)

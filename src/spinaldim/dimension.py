@@ -46,10 +46,12 @@ envelope inequalities are theorems, so no row re-tests them:
 
 The sums are exact ints at a fixed binary scale whose only roundings are
 the logs themselves, so t1, t2, ratio, upper, d and a are each one
-correctly rounded quotient.  On those sums 1 + T1 + T2 = F'/E with
-F' = E + sum m_j ln l_j + sum m_j ln (l_j-1), so lower is a times the
-correctly rounded E/F', multiplied once at the row's working precision,
-and a row holds the four inequalities to that precision.
+correctly rounded quotient.  F is built as E + sum m_j ln l_j +
+sum m_j ln (l_j-1) from the rounded logs, so 1 + T1 + T2 = F/E holds
+exactly on the sums and inequality 1 holds there term by term, each
+rounded ln (l_j-2)! being >= 0; lower is a times the correctly rounded
+E/F, multiplied once at the row's working precision, lower_1 = ratio_1
+bit for bit, and a row holds the four inequalities to that precision.
 ``partial_dimension`` builds one level's row from these formulas, and
 ``dimension_report`` asks it for each level, so a deep report evaluates
 each valency's logs once (in ``log_order_sums``) and reads every row off
@@ -140,7 +142,7 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     """The level-n quotient d_n together with its envelope.
 
     t1, t2, ratio, upper and d are each one correctly rounded quotient of
-    the exact prefix sums; lower is a times E/F', both correctly rounded,
+    the exact prefix sums; lower is a times E/F, both correctly rounded,
     multiplied once at wp bits.  It reads the log-order sums and alpha
     products of every level of ``seq``, not only of the n the row needs:
     row 2 of the 19-term minimal 1/3 sequence took 76 ms (2-vCPU VM)
@@ -158,16 +160,16 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     wp = precision_bits + _GUARD_BITS
     sums = log_order_sums(seq.valencies, precision_bits)
     alphas = _alphas(seq.valencies)
-    e = sums.split_sub[n]
+    e, f = sums.split_sub[n], sums.fact[n]
     a = _quotient(alphas[n - 1].numerator, alphas[n - 1].denominator, wp)
-    lower = mpf_mul(a, _quotient(e, e + sums.split_l[n] + sums.split_l1[n], wp), wp, round_nearest)
+    lower = mpf_mul(a, _quotient(e, f, wp), wp, round_nearest)
     return DimensionRow(
         n=n,
         d=_ratio(sums.order_sub[n], sums.order[n], wp),
         alpha=alphas[n],
-        ratio=_ratio(sums.fact_sub[n], sums.fact[n], wp),
+        ratio=_ratio(sums.fact_sub[n], f, wp),
         lower=mpmath.mp.make_mpf(lower),
-        upper=_ratio(n * sums.size_sub[n - 1] + sums.stirling_sub[n], sums.fact[n], wp),
+        upper=_ratio(n * sums.size_sub[n - 1] + sums.stirling_sub[n], f, wp),
         t1=_ratio(sums.split_l[n], e, wp),
         t2=_ratio(sums.split_l1[n], e, wp),
     )
@@ -202,30 +204,27 @@ class ChainRuleRow(NamedTuple):
 
 
 def chain_rule_table(
-    seq_g: TreeSequence,
-    seq_h: TreeSequence,
-    seq_k: TreeSequence,
-    n_max: int,
-    precision_bits: int = 128,
+    seq: TreeSequence, n_max: int, precision_bits: int = 128
 ) -> list[ChainRuleRow]:
     """Per-level telescoping check (logK/logG) = (logH/logG)(logK/logH).
 
-    The three sequences must be nested by entrywise subtraction of 2.
+    G is the construction over ``seq``, H the one over l_i - 2 and K the one
+    over l_i - 4.  H's log order is the ``order_sub`` of G's pass and K's is
+    the ``order_sub`` of H's, so the tower takes two passes and evaluates
+    ln (l_i-2)! and ln (l_i-4)! once each.  Both shifted sides must hold
+    valencies >= 5 (``_require_subgroup_side``), so every l_i >= 7.
     """
     import mpmath
 
     _require_precision(precision_bits)
-    if n_max < 1 or n_max > min(len(seq_g), len(seq_h), len(seq_k)):
-        raise ValueError("n_max outside the common sequence range")
-    for a, b in zip(seq_g.valencies, seq_h.valencies):
-        if b != a - 2:
-            raise ValueError("middle sequence is not the ambient one shifted by 2")
-    for b, c in zip(seq_h.valencies, seq_k.valencies):
-        if c != b - 2:
-            raise ValueError("inner sequence is not the middle one shifted by 2")
-    _require_subgroup_side(seq_h, n_max)
-    log_g, log_h, log_k = (log_order_sums(s.valencies[:n_max], precision_bits).order
-                           for s in (seq_g, seq_h, seq_k))
+    if not 1 <= n_max <= len(seq):
+        raise ValueError(f"n_max {n_max} outside 1..{len(seq)}")
+    _require_subgroup_side(seq, n_max)
+    h = TreeSequence(l - 2 for l in seq.valencies[:n_max])
+    _require_subgroup_side(h, n_max)
+    g_sums = log_order_sums(seq.valencies[:n_max], precision_bits)
+    log_g, log_h = g_sums.order, g_sums.order_sub
+    log_k = log_order_sums(h.valencies, precision_bits).order_sub
     wp = precision_bits + _GUARD_BITS
     out = []
     with mpmath.workprec(wp):
@@ -235,16 +234,7 @@ def chain_rule_table(
             q_kh = _ratio(lk, lh, wp)
             q_kg = _ratio(lk, lg, wp)
             prod = q_hg * q_kh
-            out.append(
-                ChainRuleRow(
-                    n=n,
-                    q_hg=q_hg,
-                    q_kh=q_kh,
-                    q_kg=q_kg,
-                    product=prod,
-                    abs_err=abs(prod - q_kg),
-                )
-            )
+            out.append(ChainRuleRow(n, q_hg, q_kh, q_kg, prod, abs(prod - q_kg)))
     return out
 
 

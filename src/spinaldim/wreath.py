@@ -9,7 +9,9 @@ estimate of its digit count, with no mpmath.  ``log_order_sums`` makes one
 pass over a sequence and keeps every weighted log sum the quotient,
 dimension and envelope code divides, so each level reads its logs off
 prefix sums.  The logs of each distinct valency are evaluated and rounded
-once per pass; the sums of them are exact integers at a fixed binary scale.
+once per pass, ln l! through its split ln l + ln (l-1) + ln (l-2)!, so
+``lnfact`` runs once per valency, on l - 2; the sums of them are exact
+integers at a fixed binary scale.
 ``verify_level_action`` checks that a group's four generators really
 produce a group of that order at desk scale.  Their labels prove the
 closed form is an upper bound: the group preserves the subtree of letters
@@ -67,7 +69,7 @@ class LogOrderSums(NamedTuple):
     Entry n of each sum runs over j < n, with m_j = prod_{k<j} l_k and
     m'_j = prod_{k<j} (l_k - 2):
 
-        fact          sum m_j ln l_j!
+        fact          sum m_j ln l_j!, as split_sub + split_l + split_l1
         fact_sub      sum m'_j ln (l_j-2)!
         split_sub     sum m_j ln (l_j-2)!
         split_l       sum m_j ln l_j
@@ -79,7 +81,8 @@ class LogOrderSums(NamedTuple):
     ``size_sub[n]`` is m'_n.  The split sums come from l! = l (l-1) (l-2)!.
 
     Every entry is an exact int at the scale 2^wp, wp = precision_bits +
-    _GUARD_BITS: the sum is the entry times 2^-wp.  Each log is rounded once
+    _GUARD_BITS: the sum is the entry times 2^-wp.  Three logs per valency,
+    ln (l-2)!, ln l and ln (l-1), plus l (ln l - 1), are each rounded once
     to a multiple of 2^-wp and the sums of those logs are exact, so a ratio
     of two entries is the ratio of the sums, with nothing rounded but the
     logs until the quotient itself.
@@ -114,13 +117,14 @@ def _fixed(x: mpf, wp: int) -> tuple[int, int]:
 def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderSums:
     """All prefix sums of ``LogOrderSums`` in one pass, as exact ints at the scale 2^wp.
 
-    ln l!, ln (l-2)!, ln l, ln (l-1) and l (ln l - 1) are evaluated once per
+    ln (l-2)!, ln l, ln (l-1) and l (ln l - 1) are evaluated once per
     distinct valency at wp = precision_bits + _GUARD_BITS bits and rounded
-    once to the scale, so a constant tree of any depth makes two ``lnfact``
-    calls.  The sums then only multiply the exact level sizes by those
-    wp-bit mantissas, shift and add.  An entry at level j holds about
-    log2 m_j bits, so the pass refuses with BudgetExceeded, before any log,
-    when the float estimate of sum_j log2 m_j exceeds _LOG_SUM_BIT_BUDGET.
+    once to the scale, so a constant tree of any depth makes one ``lnfact``
+    call.  The sums then only multiply the exact level sizes by those
+    wp-bit mantissas, shift and add, and ``fact`` adds the three split sums.
+    An entry at level j holds about log2 m_j bits, so the pass refuses with
+    BudgetExceeded, before any log, when the float estimate of
+    sum_j log2 m_j exceeds _LOG_SUM_BIT_BUDGET.
     """
     bits = sum(itertools.accumulate(math.log2(l) for l in valencies))
     BudgetExceeded.refuse_above(
@@ -132,26 +136,26 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
     wp = precision_bits + _GUARD_BITS
     with mpmath.workprec(wp):
         ln2, ln2_shift = _fixed(mpmath.log(2), wp)
-        rows = [(0,) * 8]
+        rows = [(0,) * 7]
         size_sub = [1 << wp]
         m = m_sub = 1
-        logs = {}  # valency -> (mantissa, shift) of ln l!, ln (l-2)!, ln l, ln (l-1), l (ln l - 1)
+        logs = {}  # valency -> (mantissa, shift) of ln (l-2)!, ln l, ln (l-1), l (ln l - 1)
         for l in valencies:
             if l not in logs:
                 ln_l = mpmath.log(l)
                 logs[l] = tuple(_fixed(x, wp) for x in (
-                    lnfact(l, precision_bits), lnfact(l - 2, precision_bits), ln_l,
-                    mpmath.log(l - 1), l * (ln_l - 1)))
-            (lf, lf_s), (lf_sub, lf_sub_s), (ln_l, ln_l_s), (ln_l1, ln_l1_s), (st, st_s) = logs[l]
+                    lnfact(l - 2, precision_bits), ln_l, mpmath.log(l - 1), l * (ln_l - 1)))
+            (lf_sub, lf_sub_s), (ln_l, ln_l_s), (ln_l1, ln_l1_s), (st, st_s) = logs[l]
             # the last two terms count the vertices above level n, as exact integers
-            terms = ((m * lf) << lf_s, (m_sub * lf_sub) << lf_sub_s, (m * lf_sub) << lf_sub_s,
-                     (m * ln_l) << ln_l_s, (m * ln_l1) << ln_l1_s, (m_sub * st) << st_s, m, m_sub)
+            terms = ((m_sub * lf_sub) << lf_sub_s, (m * lf_sub) << lf_sub_s,
+                     (m * ln_l) << ln_l_s, (m * ln_l1) << ln_l1_s, (m_sub * st) << st_s,
+                     m, m_sub)
             rows.append(tuple(acc + t for acc, t in zip(rows[-1], terms)))
             m *= l
             m_sub *= l - 2
             size_sub.append(m_sub << wp)
-    (fact, fact_sub, split_sub, split_l, split_l1, stirling_sub,
-     internal, internal_sub) = zip(*rows)
+    fact_sub, split_sub, split_l, split_l1, stirling_sub, internal, internal_sub = zip(*rows)
+    fact = tuple(map(sum, zip(split_sub, split_l, split_l1)))
     return LogOrderSums(
         fact=fact,
         fact_sub=fact_sub,

@@ -684,6 +684,11 @@ def test_spectrum_gallery_reports_a_bad_target(tmp_path):
      "error: valency 4 < 5; the shifted side needs l - 2 >= 3\n"),
     (["--constants", "", "--levels", "3", "--targets", "abc"],
      "error: Invalid literal for Fraction: 'abc'\n"),
+    # every target parses before the first block is printed
+    (["--levels", "2", "--constants", "5", "--targets", "0.5,abc"],
+     "error: Invalid literal for Fraction: 'abc'\n"),
+    (["--levels", "2", "--constants", "5", "--targets", "0.5,1/0"],
+     "error: target '1/0' has a zero denominator\n"),
 ])
 def test_dimension_scan_reports_a_bad_value(argv, err):
     assert _run_script("dimension_scan", argv) == (2, "", err)

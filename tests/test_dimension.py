@@ -65,12 +65,12 @@ def test_precision_floor():
 
 
 def test_precision_ceiling_refuses_before_any_work():
-    g, h, k = (TreeSequence((l,) * 4) for l in (9, 7, 5))
+    g = TreeSequence((9,) * 4)
     over = _MAX_PRECISION + 1
     message = "^precision 4097 above the 4096-bit ceiling$"
     for call in (lambda: partial_dimension(CONST5, 1, over),
                  lambda: dimension_report(CONST5, 3, over),
-                 lambda: chain_rule_table(g, h, k, 2, over),
+                 lambda: chain_rule_table(g, 2, over),
                  lambda: rigid_product_partial(CONST5, 1, 2, 3, over)):
         with pytest.raises(BudgetExceeded, match=message) as err:
             call()
@@ -88,6 +88,16 @@ def test_alpha_target_values():
 def test_envelope_t_checks_constant_five():
     for n in (1, 2, 5, 10):
         assert_envelope_holds(partial_dimension(CONST5, n), 5)
+
+
+@given(st.lists(st.integers(5, 10**6), min_size=1, max_size=3), st.integers(64, 4096))
+@example([5, 5], 64)
+@example([6, 5], 128)
+@example([399, 5], 256)
+def test_first_lower_bound_is_the_first_ratio_bit_for_bit(valencies, precision):
+    # F is the exact sum of the split E + S_l + S_l1, so lower_1 = a_0 E/F = E/F = ratio_1
+    row = partial_dimension(TreeSequence(valencies), 1, precision)
+    assert row.lower._mpf_ == row.ratio._mpf_
 
 
 def test_envelope_sandwich_synthesized():
@@ -165,10 +175,7 @@ def test_report_tail_spread_of_drifting_constant_tree():
 
 
 def test_chain_rule_exact_telescoping():
-    g = TreeSequence((9,) * 10)
-    h = TreeSequence((7,) * 10)
-    k = TreeSequence((5,) * 10)
-    rows = chain_rule_table(g, h, k, 10, precision_bits=192)
+    rows = chain_rule_table(TreeSequence((9,) * 10), 10, precision_bits=192)
     for row in rows:
         assert row.abs_err < mpmath.mpf(2) ** -100
         assert 0 < row.q_kg < 1
@@ -176,13 +183,42 @@ def test_chain_rule_exact_telescoping():
         assert 0 < row.q_kh < 1
 
 
-def test_chain_rule_nesting_validation():
-    g = TreeSequence((9,) * 4)
-    h = TreeSequence((7,) * 4)
-    with pytest.raises(ValueError):
-        chain_rule_table(g, h, TreeSequence((4,) * 4), 4)
-    with pytest.raises(ValueError):
-        chain_rule_table(g, TreeSequence((6,) * 4), TreeSequence((5,) * 4), 4)
+@pytest.mark.parametrize("valencies, ok_level, bad", [
+    ((9, 9, 6, 9), 2, 4),  # H's valency 4 at level 3
+    ((7, 5, 9), 1, 3),
+    ((4, 9), 0, 4),  # G's own valency, refused before H is built
+])
+def test_chain_rule_refuses_a_g_valency_below_seven(valencies, ok_level, bad):
+    # H runs over l - 2 and K over l - 4, so H's side needs l - 2 >= 5
+    seq = TreeSequence(valencies)
+    if ok_level:
+        assert len(chain_rule_table(seq, ok_level)) == ok_level
+    message = rf"^valency {bad} < 5; the shifted side needs l - 2 >= 3$"
+    with pytest.raises(ValueError, match=message):
+        chain_rule_table(seq, len(seq))
+
+
+@pytest.mark.parametrize("n_max", [0, -1, 5])
+def test_chain_rule_refuses_a_level_outside_the_sequence(n_max):
+    with pytest.raises(ValueError, match=rf"^n_max {n_max} outside 1\.\.4$"):
+        chain_rule_table(TreeSequence((9,) * 4), n_max)
+
+
+def test_chain_rule_tower_evaluates_each_log_once(monkeypatch):
+    # G's pass evaluates ln (l-2)! and H's ln (l-4)!; K's log order is H's order_sub
+    calls = []
+    real = wreath.lnfact
+
+    def lnfact(n, precision_bits=128):
+        calls.append(n)
+        return real(n, precision_bits)
+
+    monkeypatch.setattr(wreath, "lnfact", lnfact)
+    for valencies, want in (((9,) * 10, [7, 5]), ((9, 13, 9, 17, 13), [7, 11, 15, 5, 9, 13])):
+        log_order_sums.cache_clear()
+        calls.clear()
+        chain_rule_table(TreeSequence(valencies), len(valencies), 192)
+        assert calls == want
 
 
 def test_rigid_product_dimension_values():
@@ -300,12 +336,12 @@ def test_prefix_reports_read_only_the_reported_levels(monkeypatch):
         report = dimension_report(seq, levels)
         assert report.rows == full.rows[:levels]
         assert report.sequence == seq.valencies[:levels]
-    g, h, k = (TreeSequence(tuple(l + s for l in seq.valencies)) for s in (4, 2, 0))
-    assert chain_rule_table(g, h, k, 5) == chain_rule_table(g, h, k, len(seq))[:5]
+    g = TreeSequence(tuple(l + 4 for l in seq.valencies))
+    assert chain_rule_table(g, 5) == chain_rule_table(g, len(seq))[:5]
     assert rigid_product_partial(seq, 1, 2, 5) == rigid_product_partial(
         TreeSequence(seq.valencies[:5]), 1, 2, 5)
 
-    # no log is evaluated for a valency past level 5: the largest left is g's 13 + 4
+    # no log is evaluated for a valency past level 5: the largest left is g's 13 + 4 - 2
     log_order_sums.cache_clear()
     calls = []
     real = wreath.lnfact
@@ -316,9 +352,9 @@ def test_prefix_reports_read_only_the_reported_levels(monkeypatch):
 
     monkeypatch.setattr(wreath, "lnfact", lnfact)
     dimension_report(seq, 5)
-    chain_rule_table(g, h, k, 5)
+    chain_rule_table(g, 5)
     rigid_product_partial(seq, 1, 2, 5)
-    assert max(calls) == 17
+    assert max(calls) == 15
 
     # the log-sum budget counts only the reported levels
     huge = TreeSequence((5, 7, 1 << 17_000_000))
