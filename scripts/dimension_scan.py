@@ -20,13 +20,13 @@ refused budget, a --precision above 4096 bits included, exits 4
 
 import argparse
 import sys
-from fractions import Fraction
 
 from mpmath.libmp import to_str
 
 from spinaldim import TreeSequence, _end_process, dimension_report, synthesize
 from spinaldim.dimension import _GUARD_BITS, _quotient
 from spinaldim.errors import exit_code
+from spinaldim.synthesis import _parse_targets
 
 DIGITS = 12  # significant digits of every printed column
 
@@ -60,19 +60,11 @@ def main(argv: list[str] | None = None) -> int:
 def _scan(args: argparse.Namespace) -> None:
     # an empty list means none; an empty entry in a list is a bad value
     constants = TreeSequence.from_text(args.constants) if args.constants else ()
-    targets = args.targets.split(",") if args.targets else []
-    if "" in targets:
-        raise ValueError(f"empty entry {targets.index('') + 1} in target list {args.targets!r}")
-    alphas = []  # every entry parses before the first block is printed
-    for text in targets:
-        try:
-            alphas.append(Fraction(text))
-        except ZeroDivisionError:
-            raise ValueError(f"target {text!r} has a zero denominator") from None
+    targets = _parse_targets(args.targets)  # every entry parses before the first block
     for l in constants:
         seq = TreeSequence((l,) * args.levels)
         emit_block(f"constant-{l}", seq, args.levels, args.precision)
-    for text, alpha in zip(targets, alphas):
+    for text, alpha in targets:
         levels = min(args.levels, 14)  # minimal-strategy entries double in size
         trace = synthesize(alpha, levels)
         emit_block(f"target-{text}", trace.sequence(), levels, args.precision)

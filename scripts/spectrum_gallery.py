@@ -17,11 +17,11 @@ import argparse
 import json
 import pathlib
 import sys
-from fractions import Fraction
 
 from spinaldim import _end_process, spectrum_sample, spectrum_svg, synthesize
 from spinaldim.cli import _single_blas_thread
 from spinaldim.errors import exit_code
+from spinaldim.synthesis import _parse_targets
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,14 +38,7 @@ def main(argv: list[str] | None = None) -> int:
 def _write_gallery(args: argparse.Namespace) -> None:
     # every page is built before --outdir is made: a bad or refused run leaves none
     pages = []
-    targets = args.targets.split(",") if args.targets else []
-    if "" in targets:
-        raise ValueError(f"empty entry {targets.index('') + 1} in target list {args.targets!r}")
-    for text in targets:
-        try:
-            alpha = Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"target {text!r} has a zero denominator") from None
+    for text, alpha in _parse_targets(args.targets):
         trace = synthesize(alpha, args.terms, "prime-rich")
         seq = trace.sequence()
         sample = spectrum_sample(alpha, seq, args.max_den, args.terms)

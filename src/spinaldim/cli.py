@@ -283,9 +283,9 @@ def _cmd_dim(args) -> int:
     if args.digits > carried:
         raise ValueError(f"--digits {args.digits} exceeds the {carried} digits "
                          f"that --precision {args.precision} carries")
-    trace = synthesize(args.alpha, args.terms, args.strategy)
-    seq = trace.sequence()
-    report = dimension_report(seq, args.levels, args.precision)
+    # the rows read only the first --levels terms
+    trace = synthesize(args.alpha, args.levels, args.strategy)
+    report = dimension_report(trace.sequence(), args.levels, args.precision)
     d = args.digits
     if args.format == "json":
         doc = _echo(args)

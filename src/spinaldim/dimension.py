@@ -52,15 +52,15 @@ exactly on the sums and inequality 1 holds there term by term, each
 rounded ln (l_j-2)! being >= 0; lower is a times the correctly rounded
 E/F, multiplied once at the row's working precision, lower_1 = ratio_1
 bit for bit, and a row holds the four inequalities to that precision.
-``partial_dimension`` builds one level's row from these formulas, and
+``partial_dimension`` builds one level's row from these formulas, alpha_n
+and a from the exact m'_n and m_n of the same pass, and
 ``dimension_report`` asks it for each level, so a deep report evaluates
-each valency's logs once (in ``log_order_sums``) and reads every row off
-the cached sums.
+each valency's logs once and reads every row off the one cached pass.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded
@@ -85,22 +85,13 @@ def _require_precision(precision_bits: int) -> None:
         f"precision {precision_bits} above the {_MAX_PRECISION}-bit ceiling")
 
 
-@functools.lru_cache(maxsize=8)
-def _alphas(valencies: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Entry n is prod_{j<n} (l_j - 2)/l_j, for n = 0..len(valencies), in one pass."""
+def alpha_target(seq: TreeSequence, n: int) -> Fraction:
+    """prod_{j<n} (l_j - 2)/l_j as an exact rational, m'_n/m_n."""
     from fractions import Fraction
 
-    out = [Fraction(1)]
-    for l in valencies:
-        out.append(out[-1] * Fraction(l - 2, l))
-    return tuple(out)
-
-
-def alpha_target(seq: TreeSequence, n: int) -> Fraction:
-    """prod_{j<n} (l_j - 2)/l_j as an exact rational."""
     if not 0 <= n <= len(seq):
         raise ValueError(f"level {n} outside 0..{len(seq)}")
-    return _alphas(seq.valencies)[n]
+    return Fraction(math.prod(l - 2 for l in seq.valencies[:n]), math.prod(seq.valencies[:n]))
 
 
 class DimensionRow(NamedTuple):
@@ -143,10 +134,10 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
 
     t1, t2, ratio, upper and d are each one correctly rounded quotient of
     the exact prefix sums; lower is a times E/F, both correctly rounded,
-    multiplied once at wp bits.  It reads the log-order sums and alpha
-    products of every level of ``seq``, not only of the n the row needs:
-    row 2 of the 19-term minimal 1/3 sequence took 76 ms (2-vCPU VM)
-    against 0.12 ms for its 2-level report.  A caller who wants one
+    multiplied once at wp bits.  It reads the log-order sums and level
+    sizes of every level of ``seq``, not only of the n the row needs:
+    row 2 of the 19-term minimal 1/3 sequence took 41-74 ms (2-vCPU VM)
+    against 0.11-0.14 ms for its 2-level report.  A caller who wants one
     shallow row passes the prefix, as ``dimension_report`` does.
     """
     _require_precision(precision_bits)
@@ -154,22 +145,23 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     if not 1 <= n <= len(seq):
         raise ValueError(f"level {n} outside 1..{len(seq)}; the smallest reported level is 1")
 
+    from fractions import Fraction
+
     import mpmath
     from mpmath.libmp import mpf_mul, round_nearest
 
     wp = precision_bits + _GUARD_BITS
     sums = log_order_sums(seq.valencies, precision_bits)
-    alphas = _alphas(seq.valencies)
     e, f = sums.split_sub[n], sums.fact[n]
-    a = _quotient(alphas[n - 1].numerator, alphas[n - 1].denominator, wp)
+    a = _quotient(sums.size_sub[n - 1], sums.size[n - 1], wp)
     lower = mpf_mul(a, _quotient(e, f, wp), wp, round_nearest)
     return DimensionRow(
         n=n,
         d=_ratio(sums.order_sub[n], sums.order[n], wp),
-        alpha=alphas[n],
+        alpha=Fraction(sums.size_sub[n], sums.size[n]),
         ratio=_ratio(sums.fact_sub[n], f, wp),
         lower=mpmath.mp.make_mpf(lower),
-        upper=_ratio(n * sums.size_sub[n - 1] + sums.stirling_sub[n], f, wp),
+        upper=_ratio((n * sums.size_sub[n - 1] << wp) + sums.stirling_sub[n], f, wp),
         t1=_ratio(sums.split_l[n], e, wp),
         t2=_ratio(sums.split_l1[n], e, wp),
     )
@@ -257,10 +249,10 @@ def rigid_product_partial(
     the tail of the ambient log-order that lies below the chosen vertices.
     """
     _require_precision(precision_bits)
-    m_n = seq.level_size(n)
+    if not 0 <= n < m <= len(seq):
+        raise ValueError(f"horizon m={m} must satisfy 0 <= {n} < m <= {len(seq)}")
+    sums = log_order_sums(seq.valencies[:m], precision_bits)
+    m_n, order = sums.size[n], sums.order
     if not 1 <= k <= m_n:
         raise ValueError(f"k={k} outside 1..{m_n}")
-    if not n < m <= len(seq):
-        raise ValueError(f"horizon m={m} must satisfy {n} < m <= {len(seq)}")
-    order = log_order_sums(seq.valencies[:m], precision_bits).order
     return _ratio(k * (order[m] - order[n]), m_n * order[m], precision_bits + _GUARD_BITS)

@@ -118,21 +118,14 @@ class StabilizerChain:
     # -- queries ---------------------------------------------------------
 
     def order(self) -> int:
-        n = 1
-        for lv in self._levels:
-            n *= len(lv.inv_transversal)
-        return n
+        return math.prod(len(lv.inv_transversal) for lv in self._levels)
 
     def base(self) -> tuple[int, ...]:
         """Base points, 1-based."""
         return tuple(lv.base + 1 for lv in self._levels)
 
     def strong_generators(self) -> list[Permutation]:
-        out = []
-        for lv in self._levels:
-            for g in lv.gens:
-                out.append(Permutation(tuple(x + 1 for x in g)))
-        return out
+        return [Permutation(tuple(x + 1 for x in g)) for lv in self._levels for g in lv.gens]
 
     # -- construction ----------------------------------------------------
 
@@ -175,10 +168,7 @@ class StabilizerChain:
 
     def _pairs_at(self, level: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The strong generators from ``level`` down, each paired with its inverse."""
-        out = []
-        for lv in self._levels[level:]:
-            out.extend(zip(lv.gens, lv.inv_gens))
-        return out
+        return [pair for lv in self._levels[level:] for pair in zip(lv.gens, lv.inv_gens)]
 
     def _extend_orbit(self, level: int, new_gen: tuple[int, ...],
                       new_inv: tuple[int, ...]) -> None:

@@ -167,6 +167,22 @@ def synthesize(alpha: Fraction, terms: int, strategy: str = "minimal") -> Synthe
     return SynthesisTrace(alpha, strategy, steps)
 
 
+def _parse_targets(text: str) -> list[tuple[str, Fraction]]:
+    """Each entry of a comma-separated target list with its value; an empty text lists none."""
+    from fractions import Fraction
+
+    entries = text.split(",") if text else []
+    if "" in entries:
+        raise ValueError(f"empty entry {entries.index('') + 1} in target list {text!r}")
+    targets = []
+    for entry in entries:
+        try:
+            targets.append((entry, Fraction(entry)))
+        except ZeroDivisionError:
+            raise ValueError(f"target {entry!r} has a zero denominator") from None
+    return targets
+
+
 class MembershipResult(NamedTuple):
     status: str  # "yes" | "no_within_horizon"
     witness: tuple[int, ...] | None

@@ -12,6 +12,7 @@ permutations that act on the letters.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 from typing import Iterator
 
@@ -82,10 +83,7 @@ class TreeSequence:
     def level_size(self, n: int) -> int:
         """Number of vertices at level n: the product of the first n valencies."""
         self._check_level(n)
-        m = 1
-        for v in self.valencies[:n]:
-            m *= v
-        return m
+        return math.prod(self.valencies[:n])
 
     def validate_vertex(self, v: Vertex) -> None:
         self._check_level(len(v))

@@ -78,9 +78,10 @@ class LogOrderSums(NamedTuple):
         order         sum m_j (ln l_j! - ln 2), the log of prod (l_j!/2)^{m_j}
         order_sub     sum m'_j (ln (l_j-2)! - ln 2), the same over l_j - 2
 
-    ``size_sub[n]`` is m'_n.  The split sums come from l! = l (l-1) (l-2)!.
+    ``size[n]`` and ``size_sub[n]`` are m_n and m'_n, exact ints with no
+    scale.  The split sums come from l! = l (l-1) (l-2)!.
 
-    Every entry is an exact int at the scale 2^wp, wp = precision_bits +
+    Every other entry is an exact int at the scale 2^wp, wp = precision_bits +
     _GUARD_BITS: the sum is the entry times 2^-wp.  Three logs per valency,
     ln (l-2)!, ln l and ln (l-1), plus l (ln l - 1), are each rounded once
     to a multiple of 2^-wp and the sums of those logs are exact, so a ratio
@@ -96,6 +97,7 @@ class LogOrderSums(NamedTuple):
     stirling_sub: tuple[int, ...]
     order: tuple[int, ...]
     order_sub: tuple[int, ...]
+    size: tuple[int, ...]
     size_sub: tuple[int, ...]
 
 
@@ -137,8 +139,7 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
     with mpmath.workprec(wp):
         ln2, ln2_shift = _fixed(mpmath.log(2), wp)
         rows = [(0,) * 7]
-        size_sub = [1 << wp]
-        m = m_sub = 1
+        size, size_sub = [1], [1]
         logs = {}  # valency -> (mantissa, shift) of ln (l-2)!, ln l, ln (l-1), l (ln l - 1)
         for l in valencies:
             if l not in logs:
@@ -146,14 +147,14 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
                 logs[l] = tuple(_fixed(x, wp) for x in (
                     lnfact(l - 2, precision_bits), ln_l, mpmath.log(l - 1), l * (ln_l - 1)))
             (lf_sub, lf_sub_s), (ln_l, ln_l_s), (ln_l1, ln_l1_s), (st, st_s) = logs[l]
+            m, m_sub = size[-1], size_sub[-1]
             # the last two terms count the vertices above level n, as exact integers
             terms = ((m_sub * lf_sub) << lf_sub_s, (m * lf_sub) << lf_sub_s,
                      (m * ln_l) << ln_l_s, (m * ln_l1) << ln_l1_s, (m_sub * st) << st_s,
                      m, m_sub)
             rows.append(tuple(acc + t for acc, t in zip(rows[-1], terms)))
-            m *= l
-            m_sub *= l - 2
-            size_sub.append(m_sub << wp)
+            size.append(m * l)
+            size_sub.append(m_sub * (l - 2))
     fact_sub, split_sub, split_l, split_l1, stirling_sub, internal, internal_sub = zip(*rows)
     fact = tuple(map(sum, zip(split_sub, split_l, split_l1)))
     return LogOrderSums(
@@ -165,6 +166,7 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
         stirling_sub=stirling_sub,
         order=tuple(f - ((w * ln2) << ln2_shift) for f, w in zip(fact, internal)),
         order_sub=tuple(f - ((w * ln2) << ln2_shift) for f, w in zip(fact_sub, internal_sub)),
+        size=tuple(size),
         size_sub=tuple(size_sub),
     )
 
@@ -218,9 +220,9 @@ def spinal_group_portraits(seq: TreeSequence, depth: int, which: str) -> list[Po
 
 def _require_subgroup_side(seq: TreeSequence, n: int) -> None:
     """Refuse a prefix whose shifted valencies l_j - 2, j < n, fall below 3."""
-    for l in seq.valencies[:n]:
-        if l < 5:
-            raise ValueError(f"valency {l} < 5; the shifted side needs l - 2 >= 3")
+    if min(seq.valencies[:n], default=5) < 5:
+        bad = next(l for l in seq.valencies if l < 5)
+        raise ValueError(f"valency {bad} < 5; the shifted side needs l - 2 >= 3")
 
 
 @functools.lru_cache(maxsize=64)

@@ -297,6 +297,17 @@ def test_dim_csv_shape():
     assert first[0] == "1" and first[1] == "3" and first[2] == "5"
 
 
+def test_dim_synthesizes_only_the_reported_levels():
+    # 40 minimal terms of 1/2 are refused at entry 18; one row needs one term
+    code, out, err = run_cli("dim", "--alpha", "1/2", "--terms", "40", "--levels", "1")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].endswith(" terms=40 levels=1 strategy=minimal precision=128 digits=12")
+    _, one_term, _ = run_cli("dim", "--alpha", "1/2", "--terms", "1", "--levels", "1")
+    assert lines[1:] == one_term.splitlines()[1:]
+    assert len(lines) == 3
+
+
 def test_dim_json_fields():
     code, out, _ = run_cli(
         "dim", "--alpha", "0.5", "--terms", "5", "--levels", "4", "--format", "json"

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, mpf_mul, round_nearest
 
 from spinaldim import (
     BudgetExceeded,
@@ -112,9 +112,29 @@ def test_envelope_sandwich_synthesized():
 
 
 def test_row_alpha_is_exact_product():
-    seq = synthesize(Fraction(1, 3), 6).sequence()
-    for n in range(1, 7):
-        assert partial_dimension(seq, n).alpha == alpha_target(seq, n)
+    for seq in (synthesize(Fraction(1, 3), 6).sequence(), TreeSequence((12,) * 200)):
+        want = Fraction(1)
+        for n, l in enumerate(seq, start=1):
+            want *= Fraction(l - 2, l)
+            assert partial_dimension(seq, n).alpha == alpha_target(seq, n) == want
+
+
+@given(st.lists(st.integers(5, 10**6), min_size=1, max_size=12), st.integers(64, 1024),
+       st.data())
+def test_alpha_and_lower_read_off_the_level_sizes(valencies, precision, data):
+    # alpha_n = m'_n/m_n, and lower's a = m'_{n-1}/m_{n-1} rounds like the reduced alpha_{n-1}
+    seq = TreeSequence(valencies)
+    n = data.draw(st.integers(1, len(seq)))
+    alphas = [Fraction(1)]
+    for l in valencies:
+        alphas.append(alphas[-1] * Fraction(l - 2, l))
+    row = partial_dimension(seq, n, precision)
+    assert row.alpha == alpha_target(seq, n) == alphas[n]
+    wp = precision + _GUARD_BITS
+    sums = log_order_sums(seq.valencies, precision)
+    a = _quotient(alphas[n - 1].numerator, alphas[n - 1].denominator, wp)
+    lower = mpf_mul(a, _quotient(sums.split_sub[n], sums.fact[n], wp), wp, round_nearest)
+    assert row.lower._mpf_ == lower
 
 
 def test_constant_sequences_decrease_to_zero():

@@ -94,7 +94,7 @@ def reference_log_order_sums(valencies, precision_bits):
     with mpmath.workprec(wp):
         ln2 = scaled(mpmath.log(2))
         sums = {name: [0] for name in LogOrderSums._fields}
-        sums["size_sub"] = [2 ** wp]
+        sums["size"], sums["size_sub"] = [1], [1]
         m = m_sub = 1
         for l in valencies:
             lf_sub = scaled(lnfact(l - 2, precision_bits))
@@ -115,7 +115,8 @@ def reference_log_order_sums(valencies, precision_bits):
                 sums[name].append(sums[name][-1] + term)
             m *= l
             m_sub *= l - 2
-            sums["size_sub"].append(m_sub * 2 ** wp)
+            sums["size"].append(m)
+            sums["size_sub"].append(m_sub)
     return LogOrderSums(**{name: tuple(v) for name, v in sums.items()})
 
 
