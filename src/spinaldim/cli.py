@@ -371,8 +371,8 @@ def _cmd_portrait(args) -> int:
 def _single_blas_thread() -> None:
     """Have any numpy loaded later start one BLAS thread, unless the user chose a count.
 
-    Only the prime-rich sieve loads numpy, and it calls no BLAS, so a second
-    OpenBLAS thread only spins on a spare CPU.
+    Only ``synthesis.distinct_prime_factor_counts``, the prime-rich sieve, loads
+    numpy, and it calls no BLAS, so a second OpenBLAS thread only spins on a spare CPU.
     Programs call this at start-up; the library writes no environment variable.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

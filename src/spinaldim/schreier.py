@@ -56,12 +56,12 @@ _STORED_ENTRY_LIMIT = 1 << 25
 
 
 class _Level:
-    __slots__ = ("base", "gens", "inv_gens", "inv_transversal")
+    __slots__ = ("base", "pairs", "inv_transversal")
 
     def __init__(self, base: int):
         self.base = base
-        self.gens: list[tuple[int, ...]] = []
-        self.inv_gens: list[tuple[int, ...]] = []  # inv_gens[k] inverts gens[k]
+        # each strong generator g of the level as (g, g^-1)
+        self.pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.inv_transversal: dict[int, tuple[int, ...]] = {}
 
 
@@ -91,11 +91,10 @@ class StabilizerChain:
         self._stored_entries = 0
         self.seed = seed
 
-        raw = [tuple(x - 1 for x in g.images) for g in gens]
-        raw = [g for g in raw if not _is_id(g)]
         grown = self.order()
-        for g in raw:
-            self._add(g)
+        for g in gens:
+            # _add rejects an identity: it sifts to itself
+            self._add(tuple(x - 1 for x in g.images))
         self._randomized_fill()
         # refill while the generators and the last fill still grew the order
         while grown < self.order() < order_bound:
@@ -125,7 +124,7 @@ class StabilizerChain:
         return tuple(lv.base + 1 for lv in self._levels)
 
     def strong_generators(self) -> list[Permutation]:
-        return [Permutation(tuple(x + 1 for x in g)) for lv in self._levels for g in lv.gens]
+        return [Permutation(tuple(x + 1 for x in g)) for lv in self._levels for g, _ in lv.pairs]
 
     # -- construction ----------------------------------------------------
 
@@ -160,15 +159,14 @@ class StabilizerChain:
             lv.inv_transversal[base] = self._identity
             self._levels.append(lv)
         residue_inv = _inv(residue)
-        self._levels[level].gens.append(residue)
-        self._levels[level].inv_gens.append(residue_inv)
+        self._levels[level].pairs.append((residue, residue_inv))
         for i in range(level, -1, -1):
             self._extend_orbit(i, residue, residue_inv)
         return True
 
     def _pairs_at(self, level: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """The strong generators from ``level`` down, each paired with its inverse."""
-        return [pair for lv in self._levels[level:] for pair in zip(lv.gens, lv.inv_gens)]
+        return [pair for lv in self._levels[level:] for pair in lv.pairs]
 
     def _extend_orbit(self, level: int, new_gen: tuple[int, ...],
                       new_inv: tuple[int, ...]) -> None:

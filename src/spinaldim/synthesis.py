@@ -17,7 +17,9 @@ is reachable one construction level down.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded
@@ -80,28 +82,25 @@ class SynthesisTrace(NamedTuple):
         return TreeSequence(tuple(s.l for s in self.steps))
 
 
-def _sieve_primes(limit: int) -> list[int]:
-    import numpy as np
-
-    if limit < 2:
-        return []
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(math.isqrt(limit)) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return [int(p) for p in np.nonzero(flags)[0]]
-
-
 def distinct_prime_factor_counts(lo: int, hi: int) -> np.ndarray:
-    """Number of distinct prime factors for every integer in [lo, hi]."""
+    """Number of distinct prime factors for every integer in [lo, hi].
+
+    This is the one function that imports numpy: a flag sieve gives the
+    primes up to sqrt(hi), and each one is struck from the window.
+    """
     import numpy as np
 
     if lo < 2 or hi < lo:
         raise ValueError("need 2 <= lo <= hi")
+    root = math.isqrt(hi)
+    flags = np.ones(root + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
     counts = np.zeros(hi - lo + 1, dtype=np.int16)
     residual = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in _sieve_primes(math.isqrt(hi)):
+    for p in np.flatnonzero(flags).tolist():
         # -lo % q is the offset of the first multiple of q in the window
         counts[-lo % p :: p] += 1
         q = p
@@ -114,14 +113,11 @@ def distinct_prime_factor_counts(lo: int, hi: int) -> np.ndarray:
 
 
 def _pick_prime_rich(lo: int, hi: int) -> int:
-    import numpy as np
-
     width = hi - lo + 1
     BudgetExceeded.refuse_above(
         width, _SCAN_CAP, f"prime-rich scan over {width} candidates exceeds cap {_SCAN_CAP}")
-    counts = distinct_prime_factor_counts(lo - 2, hi - 2)
-    best = int(np.argmax(counts))
-    return lo + best
+    # argmax returns the first maximum, so ties go to the smallest l
+    return lo + int(distinct_prime_factor_counts(lo - 2, hi - 2).argmax())
 
 
 # strategy name -> the pick of l from the admissible window lo..hi
@@ -263,6 +259,7 @@ def spectrum_sample(
     limit = _SPECTRUM_WORK_LIMIT
     refusal = (f"spectrum sample needs work above {limit} (denominators examined plus entries "
                "built plus realization words); lower the max denominator or the horizon")
+    sizes = list(itertools.accumulate(seq.valencies, operator.mul))  # m_1, m_2, ...
     entries: list[SpectrumEntry] = []
     words = 0  # realization words charged so far
     for b in range(1, max_denominator + 1):
@@ -270,13 +267,10 @@ def spectrum_sample(
         res = denominator_witness(Fraction(1, b), seq, horizon)
         if not res.found:
             continue
-        level, m_n = None, 1
-        for n, l in enumerate(seq.valencies, start=1):
-            m_n *= l
-            if m_n % b == 0:
-                level = n
-                break
-        extra_words = (m_n.bit_length() - 1) // 64 if level else 0
+        # the first level whose m_n b divides; with none, m_n = 1 charges no words
+        level, m_n = next(((n, m) for n, m in enumerate(sizes, start=1) if m % b == 0),
+                          (None, 1))
+        extra_words = (m_n.bit_length() - 1) // 64
         for a in range(0, b + 1):
             if math.gcd(a, b) != 1:
                 continue

@@ -38,6 +38,31 @@ def test_only_errors_constructs_a_refusal():
     assert found == []
 
 
+def _numpy_imports(node, scope):
+    # the enclosing scope of every numpy import below node; an
+    # `if TYPE_CHECKING:` body counts as its own scope
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+            alias.name for alias in node.names]
+        if any(name.split(".")[0] == "numpy" for name in names):
+            yield scope
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+        scope = f"{scope}.TYPE_CHECKING"
+    for child in ast.iter_child_nodes(node):
+        yield from _numpy_imports(child, scope)
+
+
+def test_only_the_prime_factor_counts_import_numpy():
+    # the prime-rich pick reaches numpy through distinct_prime_factor_counts alone
+    found = set()
+    for path in sorted([*ROOT.glob("src/spinaldim/*.py"), *ROOT.glob("scripts/*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        found.update(_numpy_imports(tree, path.stem))
+    assert found == {"synthesis.TYPE_CHECKING", "synthesis.distinct_prime_factor_counts"}
+
+
 def _entry_digits():
     trace = synthesis.synthesize(Fraction(1, 3), 6)
     return max(math.ceil(step.window_lo.bit_length() * 0.302) for step in trace.steps)

@@ -429,5 +429,5 @@ def test_inverse_transversals_invert(seq, level, group, seed):
         assert lv.inv_transversal[lv.base] == chain._identity
         for b, u_inv in lv.inv_transversal.items():
             assert u_inv[b] == lv.base
-        for g, g_inv in zip(lv.gens, lv.inv_gens, strict=True):
+        for g, g_inv in lv.pairs:
             assert _is_id(_mul(g_inv, g))

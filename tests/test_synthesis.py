@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from spinaldim import (
@@ -17,7 +17,7 @@ from spinaldim import (
     synthesize,
     window,
 )
-from spinaldim.synthesis import SpectrumEntry, distinct_prime_factor_counts
+from spinaldim.synthesis import SpectrumEntry, _pick_prime_rich, distinct_prime_factor_counts
 
 SEQ = TreeSequence((5, 13, 133))
 
@@ -172,6 +172,19 @@ def test_prime_rich_first_step():
 def test_distinct_prime_factor_counts_by_trial_division(lo, hi):
     counts = distinct_prime_factor_counts(lo, hi)
     assert counts.tolist() == [count_distinct_primes(n) for n in range(lo, hi + 1)]
+
+
+# l - 2 = 6, 10 and 12 all have two distinct primes, the most in 3..12
+@example(lo=5, width=10)
+# l - 2 = 30 and 42 tie at three distinct primes, the most in 30..42
+@example(lo=32, width=13)
+@example(lo=5, width=1)
+@given(st.integers(5, 10_000), st.integers(1, 2_000))
+def test_pick_prime_rich_takes_first_maximum(lo, width):
+    # ties go to the smallest l, the first maximum of the window
+    hi = lo + width - 1
+    counts = [count_distinct_primes(l - 2) for l in range(lo, hi + 1)]
+    assert _pick_prime_rich(lo, hi) == lo + counts.index(max(counts))
 
 
 def test_prime_rich_draws_from_same_window_as_minimal():
