@@ -24,7 +24,7 @@ import sys
 from mpmath.libmp import to_str
 
 from spinaldim import TreeSequence, _end_process, dimension_report, synthesize
-from spinaldim.dimension import _GUARD_BITS, _quotient
+from spinaldim.dimension import _decimal_text
 from spinaldim.errors import exit_code
 from spinaldim.synthesis import _parse_targets
 
@@ -36,9 +36,8 @@ def emit_block(tag, seq, levels, precision):
     print(f"# family={tag} sequence_prefix={','.join(map(str, seq.valencies[:4]))}...")
     print("n,alpha_n,d_n,lower_n,upper_n")
     for row in report.rows:
-        alpha = _quotient(row.alpha.numerator, row.alpha.denominator, precision + _GUARD_BITS)
         print(
-            f"{row.n},{to_str(alpha, DIGITS)},{to_str(row.d._mpf_, DIGITS)},"
+            f"{row.n},{_decimal_text(row.alpha, DIGITS, True)},{to_str(row.d._mpf_, DIGITS)},"
             f"{to_str(row.lower._mpf_, DIGITS)},{to_str(row.upper._mpf_, DIGITS)}"
         )
     print(f"# liminf_estimate={to_str(report.liminf_estimate._mpf_, DIGITS)}")

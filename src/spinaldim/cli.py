@@ -19,10 +19,10 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__, _end_process
-from .dimension import _MAX_PRECISION, _ratio, _require_precision, dimension_report
+from .dimension import _MAX_PRECISION, _decimal_text, _require_precision, dimension_report
 from .errors import MISMATCH_ERROR, USAGE_ERROR, BudgetExceeded, exit_code
 from .portraits import GROUPS, SPINAL_KINDS, Portrait
-from .synthesis import STRATEGIES, spectrum_sample, spectrum_svg, synthesize
+from .synthesis import STRATEGIES, _parse_target, spectrum_sample, spectrum_svg, synthesize
 from .trees import TreeSequence
 from .wreath import _DEGREE_CAP, _GUARD_BITS, verify_level_action
 
@@ -57,17 +57,15 @@ def _nstr(x, digits: int) -> str:
 
 
 def _digits_precision(digits: int) -> int:
-    """The bits ``_ratio_text`` works at for ``digits``, refused above the ceiling."""
+    """The bits a ``--digits`` of ``digits`` is charged, refused above the ceiling.
+
+    The decimals themselves are exact; the charge caps ``--digits`` at 1223.
+    """
     prec = max(53, math.ceil(digits * math.log2(10)) + _GUARD_BITS)
     BudgetExceeded.refuse_above(
         prec, _MAX_PRECISION,
         f"--digits {digits} needs {prec} bits, above the {_MAX_PRECISION}-bit ceiling")
     return prec
-
-
-def _ratio_text(q: Fraction, digits: int) -> str:
-    """``q`` >= 0 to ``digits`` significant digits, rounded once to guard bits beyond them."""
-    return _nstr(_ratio(q.numerator, q.denominator, _digits_precision(digits)), digits)
 
 
 # measured crossover: below about 2**15 bits the built-in conversion is faster
@@ -162,10 +160,8 @@ def _parse_seq(text: str) -> TreeSequence:
 
 
 def _parse_alpha(text: str) -> Fraction:
-    from fractions import Fraction
-
     try:
-        alpha = Fraction(text)
+        alpha = _parse_target(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse alpha {text!r}") from exc
     if not 0 <= alpha <= 1:
@@ -253,7 +249,7 @@ def _cmd_synth(args) -> int:
             {
                 "i": s.i, "l": _big(s.l), "window_lo": _big(s.window_lo),
                 "window_hi": _big(s.window_hi), "P": _fraction_text(s.p),
-                "gap": _ratio_text(s.gap, args.digits),
+                "gap": _decimal_text(s.gap, args.digits, False),
             }
             for s in trace.steps
         ]
@@ -266,7 +262,7 @@ def _cmd_synth(args) -> int:
     for s in trace.steps:
         ints = (s.l, s.window_lo, s.window_hi, s.p.numerator, s.p.denominator)
         lines.append(f"{s.i},{','.join(map(_int_text, ints))},"
-                     f"{_ratio_text(s.gap, args.digits)}\n")
+                     f"{_decimal_text(s.gap, args.digits, False)}\n")
     _emit("".join(lines), args.out)
     return 0
 
@@ -341,7 +337,7 @@ def _cmd_spectrum(args) -> int:
     doc["entries"] = [
         {
             "value": e.text,
-            "decimal": _ratio_text(e.value, args.digits),
+            "decimal": _decimal_text(e.value, args.digits, False),
             "provenance": e.provenance,
             "witness": list(e.witness),
             "realization": {"level": e.realization[0], "k": _big(e.realization[1])}
@@ -382,12 +378,16 @@ def main(argv: list[str] | None = None) -> int:
     # synthesized sequences produce very large exact integers
     sys.set_int_max_str_digits(2_000_000)
     _single_blas_thread()
-    parser = build_parser()
+    return exit_code(_run, argv)
+
+
+def _run(argv: list[str] | None) -> int:
+    # an --alpha text over its digit budget is refused while the flags parse
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    return exit_code(args.handler, args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

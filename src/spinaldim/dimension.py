@@ -75,6 +75,7 @@ if TYPE_CHECKING:
 _MIN_PRECISION = 64
 # a bound on the time of one row's logs and quotients: 4096 bits is about 1233 digits
 _MAX_PRECISION = 1 << 12
+_LOG10_2 = math.log10(2)
 
 
 def _require_precision(precision_bits: int) -> None:
@@ -120,6 +121,43 @@ def _quotient(p: int, q: int, prec: int) -> tuple:
     from mpmath.libmp import mpf_div, round_nearest
 
     return mpf_div((0, p, 0, p.bit_length()), (0, q, 0, q.bit_length()), prec, round_nearest)
+
+
+def _decimal_text(x: Fraction, digits: int, strip_zeros: bool) -> str:
+    """``x`` >= 0 to ``digits`` significant digits, rounded half up from its exact value.
+
+    The text is laid out as mpmath's ``to_str`` lays out a binary value:
+    fixed point when the leading digit's exponent e lies strictly between
+    min(-(digits // 3), -5) and digits, otherwise ``d.ddd`` and ``e+N`` or
+    ``e-N``, with trailing zeros stripped only when asked.
+    """
+    p, q = x.numerator, x.denominator
+    if not p:
+        return "0.0"
+    # 2**(k-1) < p/q < 2**(k+1) with k the difference of the bit lengths, so
+    # the leading digit's exponent is this estimate or one more; the margin
+    # keeps a float error from rounding the estimate up
+    e = math.floor((p.bit_length() - q.bit_length() - 1) * _LOG10_2 - 1e-9)
+    s = digits - e
+    n = str(p * 10**s // q if s >= 0 else p // (q * 10**-s))
+    e += len(n) - digits - 1
+    # truncating the floor n to digits + 1 digits is again an exact floor
+    rounded = str((int(n[: digits + 1]) + 5) // 10)
+    if len(rounded) > digits:  # carried to 10**digits
+        rounded, e = rounded[:digits], e + 1
+    if min(-(digits // 3), -5) < e < digits:
+        if e < 0:
+            mantissa = "0." + "0" * (-e - 1) + rounded
+        else:
+            mantissa = rounded[: e + 1] + "." + rounded[e + 1 :]
+        exponent = ""
+    else:
+        mantissa, exponent = rounded[0] + "." + rounded[1:], f"e{e:+d}"
+    if strip_zeros:
+        mantissa = mantissa.rstrip("0")
+        if mantissa.endswith("."):
+            mantissa += "0"
+    return mantissa + exponent
 
 
 def _ratio(p: int, q: int, prec: int) -> mpf:

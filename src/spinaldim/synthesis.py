@@ -163,17 +163,43 @@ def synthesize(alpha: Fraction, terms: int, strategy: str = "minimal") -> Synthe
     return SynthesisTrace(alpha, strategy, steps)
 
 
-def _parse_targets(text: str) -> list[tuple[str, Fraction]]:
-    """Each entry of a comma-separated target list with its value; an empty text lists none."""
+def _parse_target(text: str) -> Fraction:
+    """``Fraction(text)``, refused when the text written out without an exponent
+    would take more than _MAX_ENTRY_DIGITS digits.
+
+    Fraction raises 10 to the exponent, so the 11 bytes ``1e-30000000``
+    would take most of a minute; they are refused at once.
+    """
     from fractions import Fraction
 
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    whole, _, places = mantissa.partition(".")
+    power = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    if not power.isdecimal():
+        power = "0"  # no exponent, a zero one, or a text Fraction refuses
+    # any |exponent| above cap exceeds the budget whatever the places, so a
+    # longer exponent is clamped rather than converted
+    cap = len(text) + _MAX_ENTRY_DIGITS + 1
+    shift = min(int(power), cap) if len(power) <= len(str(cap)) else cap
+    if exponent.startswith("-"):
+        shift = -shift
+    written = (max(sum(map(str.isdecimal, whole)) + shift, 0)
+               + max(sum(map(str.isdecimal, places)) - shift, 0))
+    BudgetExceeded.refuse_above(
+        written, _MAX_ENTRY_DIGITS,
+        f"target needs at least {written} digits written out (budget {_MAX_ENTRY_DIGITS})")
+    return Fraction(text)
+
+
+def _parse_targets(text: str) -> list[tuple[str, Fraction]]:
+    """Each entry of a comma-separated target list with its value; an empty text lists none."""
     entries = text.split(",") if text else []
     if "" in entries:
         raise ValueError(f"empty entry {entries.index('') + 1} in target list {text!r}")
     targets = []
     for entry in entries:
         try:
-            targets.append((entry, Fraction(entry)))
+            targets.append((entry, _parse_target(entry)))
         except ZeroDivisionError:
             raise ValueError(f"target {entry!r} has a zero denominator") from None
     return targets

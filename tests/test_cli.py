@@ -347,12 +347,22 @@ def test_spectrum_decimal_is_exact_to_thirty_digits():
     assert decimals["2/3"] == "0." + "6" * 29 + "7"
 
 
+def test_spectrum_decimal_ties_round_half_up():
+    # 1/4, 3/20, 7/20 and 9/20 are exact ties at one digit; the binary
+    # quotient once decided them by the sign of its rounding error
+    code, out, _ = run_cli("spectrum", "--alpha", "1/2", "--seq", "22", "--max-den", "20",
+                           "--horizon", "1", "--digits", "1")
+    assert code == 0
+    decimals = {e["value"]: e["decimal"] for e in json.loads(out)["entries"]}
+    assert [decimals[v] for v in ("1/4", "3/20", "7/20", "9/20")] == ["0.3", "0.2", "0.4", "0.5"]
+
+
 def _significant_digits(q, digits):
-    """The first ``digits`` significant digits of 0 < q < 1, rounded with integer arithmetic."""
+    """The first ``digits`` significant digits of 0 < q < 1, rounded half up exactly."""
     shift = digits
     while q * 10 ** shift < 10 ** (digits - 1):
         shift += 1
-    return str(round(q * 10 ** shift))
+    return str(math.floor(q * 10 ** shift + Fraction(1, 2)))
 
 
 def test_synth_gap_is_exact_to_forty_digits():
@@ -643,6 +653,24 @@ def test_prime_rich_dim_loads_numpy_with_one_thread():
     assert proc.stderr.split() == ["Threads:", "1"]
 
 
+def test_synth_and_spectrum_leave_mpmath_unloaded():
+    # their decimals are exact rationals rounded in integer arithmetic
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import contextlib, io, sys, spinaldim.cli\n"
+        "for argv in (['synth', '--alpha', '1/3', '--terms', '4'],\n"
+        "             ['synth', '--alpha', '1/3', '--terms', '4', '--format', 'json'],\n"
+        "             ['spectrum', '--alpha', '1/2', '--seq', '5,7,9', '--max-den', '6',\n"
+        "              '--horizon', '3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert spinaldim.cli.main(argv) == 0\n"
+        "    print(argv[0], *[m for m in ('mpmath', 'numpy') if m in sys.modules])\n"
+    )
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert got.stdout.splitlines() == ["synth", "synth", "spectrum"]
+
+
 def test_spectrum_gallery_script(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -729,21 +757,19 @@ def test_scan_of_huge_valencies_rounds_alpha_quickly():
 
 
 def _printable_12(num, den):
-    """What num/den in (0, 1) may print as to 12 significant digits: the
-    nearest such decimal, or at an exact tie either neighbour, as the
-    binary quotient may fall on either side of the tie."""
+    """num/den in (0, 1) to 12 significant digits, rounded half up exactly."""
     k = 11 + len(str(den)) - len(str(num))
     while num * 10**k // den < 10**11:
         k += 1
     while num * 10**k // den >= 10**12:
         k -= 1
-    r, rest = divmod(2 * num * 10**k + den, 2 * den)
-    return {Fraction(r - i, 10**k) for i in range(1 + (rest == 0))}
+    return Fraction((2 * num * 10**k + den) // (2 * den), 10**k)
 
 
 @given(st.lists(st.integers(5, 60), min_size=1, max_size=40),
        st.sampled_from([64, 128, 256]))
 @example([56] * 143, 128)  # 0.005513403692844999... prints ...284; a 53-bit quotient, ...285
+@example([8, 16, 16, 16, 40], 128)  # alpha_5 = 19551/40960 = 0.4773193359375, a tie
 def test_scan_alpha_column_is_the_exact_rational_rounded(valencies, precision):
     out = io.StringIO()
     with redirect_stdout(out):
@@ -756,7 +782,7 @@ def test_scan_alpha_column_is_the_exact_rational_rounded(valencies, precision):
         num, den = num * (l - 2), den * l
         cols = row.split(",")
         assert int(cols[0]) == n
-        assert Fraction(cols[1]) in _printable_12(num, den)
+        assert Fraction(cols[1]) == _printable_12(num, den)
 
 
 class _FullStdout(io.StringIO):
@@ -855,6 +881,28 @@ def test_working_precision_has_a_ceiling(template, at, over, err):
     assert refused == (4, "", err)
     code, out, err_got = run_cli(*template.format(at).split())
     assert (code, err_got) == (0, "") and out
+
+
+@pytest.mark.parametrize("name, template", [
+    ("cli", "synth --alpha {} --terms 1"),
+    ("cli", "spectrum --alpha {} --seq 5 --max-den 2 --horizon 1"),
+    ("dimension_scan", "--levels 1 --constants= --targets {}"),
+])
+def test_alpha_text_is_refused_above_its_written_digits(name, template):
+    # Fraction("1e-30000000") builds 10**30000000: 42 s before this budget
+    def run(text):
+        if name == "cli":
+            return run_cli(*template.format(text).split())
+        return _run_script(name, template.format(text).split())
+
+    start = time.perf_counter()
+    assert run("1e-30000000") == (
+        4, "", "refused: target needs at least 100012 digits written out (budget 100000)\n")
+    assert time.perf_counter() - start < 1.0
+    assert run("1e-100001") == (
+        4, "", "refused: target needs at least 100001 digits written out (budget 100000)\n")
+    code, out, err = run("1e-100000")
+    assert (code, err) == (0, "") and out
 
 
 @pytest.mark.parametrize("name, argv, err", [

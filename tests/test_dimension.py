@@ -1,10 +1,11 @@
+import decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from mpmath.libmp import from_rational, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, mpf_mul, round_nearest, to_str
 
 from spinaldim import (
     BudgetExceeded,
@@ -18,7 +19,7 @@ from spinaldim import (
     synthesize,
     wreath,
 )
-from spinaldim.dimension import _MAX_PRECISION, _quotient
+from spinaldim.dimension import _MAX_PRECISION, _decimal_text, _quotient
 from spinaldim.wreath import _GUARD_BITS, log_order_sums
 
 CONST5 = TreeSequence((5,) * 40)
@@ -459,3 +460,56 @@ def _ints(low: int):
 def test_quotient_is_the_correctly_rounded_rational(p, q, prec):
     # mpmath's from_rational normalizes both ints first and serves as the reference
     assert _quotient(p, q, prec) == from_rational(p, q, prec, round_nearest)
+
+
+def _half_up(x: Fraction, digits: int) -> decimal.Decimal:
+    """x to ``digits`` significant digits: decimal rounds an exact quotient once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits, decimal.ROUND_HALF_UP
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+
+def _assert_half_up(x: Fraction, digits: int) -> None:
+    text = _decimal_text(x, digits, False)
+    assert decimal.Decimal(text) == _half_up(x, digits)
+    assert len(text.split("e")[0].replace(".", "").lstrip("0")) == digits
+
+
+@given(p=st.integers(1, 2**400), q=st.integers(1, 2**400), digits=st.integers(1, 60))
+@example(p=1, q=3 << 522_000, digits=12)  # synth's smallest gaps, near 10**-157000
+def test_decimal_text_rounds_the_exact_rational_half_up(p, q, digits):
+    _assert_half_up(Fraction(p, q), digits)
+
+
+@given(lead=st.integers(1, 10**40), exp10=st.integers(-60, 60))
+@example(lead=12, exp10=-3)  # 0.0125 at 2 digits
+@example(lead=9999, exp10=0)  # 9999.5 at 4 digits carries to 1.000e+4
+def test_decimal_text_takes_every_constructed_tie_up(lead, exp10):
+    # (lead + 1/2) 10**exp10 lies halfway between two decimals of lead's digits
+    _assert_half_up(Fraction(2 * lead + 1, 2) * Fraction(10) ** exp10, len(str(lead)))
+
+
+def test_decimal_text_ties_are_not_taken_to_even():
+    assert _decimal_text(Fraction(1, 8), 2, False) == "0.13"
+    assert _decimal_text(Fraction(9, 20), 1, False) == "0.5"
+
+
+@given(m=st.integers(1, 2**20 - 1), exp2=st.integers(-150, 150), digits=st.integers(1, 40))
+@example(m=2**20 - 1, exp2=-20, digits=5)  # 0.99999904... carries to 1.0000
+@example(m=1999, exp2=-1, digits=3)  # 999.5 carries past the fixed range: 1.00e+3
+@example(m=1, exp2=-14, digits=3)  # 6.1e-5 just outside min(-(3 // 3), -5) < e
+@example(m=1, exp2=-14, digits=18)  # and inside min(-6, -5) < e at 18 digits
+@example(m=123, exp2=0, digits=3)  # 123. with its point and no fraction
+def test_decimal_text_lays_out_digits_as_mpmath(m, exp2, digits):
+    # m 2**exp2 with m < 2**20 takes at most 20 bits, so mpmath's own floor
+    # to digits + 3 is exact and its half-up rounding is the same rule
+    x = Fraction(m) * Fraction(2) ** exp2
+    value = from_man_exp(m, exp2)
+    assert _decimal_text(x, digits, False) == mpmath.nstr(
+        mpmath.mpf(value), digits, strip_zeros=False)
+    assert _decimal_text(x, digits, True) == to_str(value, digits)
+
+
+def test_decimal_text_of_zero():
+    assert _decimal_text(Fraction(0), 5, False) == _decimal_text(Fraction(0), 5, True) == "0.0"

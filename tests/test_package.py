@@ -104,6 +104,10 @@ BUDGETS = {
     "synthesize": (
         synthesis, "_MAX_ENTRY_DIGITS", lambda: synthesis.synthesize(Fraction(1, 3), 6),
         _entry_digits, BudgetExceeded, "entry "),
+    # 1.25e-3 written out is 0.00125, five digits
+    "synthesis._parse_target": (
+        synthesis, "_MAX_ENTRY_DIGITS", lambda: synthesis._parse_target("1.25e-3"),
+        lambda: 5, BudgetExceeded, "target needs at least 5 digits "),
     # b = 4 is not admissible on (5, 5), so the last charge is the denominator's
     "spectrum_sample per denominator": (
         synthesis, "_SPECTRUM_WORK_LIMIT",
