@@ -177,10 +177,10 @@ def _parse_target(text: str) -> Fraction:
     power = exponent.lstrip("+-").replace("_", "").lstrip("0")
     if not power.isdecimal():
         power = "0"  # no exponent, a zero one, or a text Fraction refuses
-    # any |exponent| above cap exceeds the budget whatever the places, so a
-    # longer exponent is clamped rather than converted
+    # an |exponent| of more digits than cap exceeds the budget whatever the
+    # places, so it is clamped to cap rather than converted
     cap = len(text) + _MAX_ENTRY_DIGITS + 1
-    shift = min(int(power), cap) if len(power) <= len(str(cap)) else cap
+    shift = int(power) if len(power) <= len(str(cap)) else cap
     if exponent.startswith("-"):
         shift = -shift
     written = (max(sum(map(str.isdecimal, whole)) + shift, 0)
