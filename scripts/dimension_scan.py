@@ -6,7 +6,10 @@ embedded subgroup tends to zero) and synthesized trees for a list of
 targets (the quotients settle on the target).  The columns lower_n and
 upper_n bracket ratio_n, d_n without its ln 2 terms (printed only by
 ``spinaldim dim --format json``), not d_n: constant-5 row 1 reads
-d_1 = 0.268... and lower_1 = 0.374..., and lower_1 = ratio_1.
+d_1 = 0.268... and lower_1 = 0.374..., and lower_1 = ratio_1.  Every
+column is printed as its exact value, alpha_n's rational and the other
+columns' binary quotients alike, rounded half up to 12 significant
+digits, with trailing zeros stripped.
 
 Usage:
     python3 scripts/dimension_scan.py [--levels 20] [--targets 0.5,0.25]
@@ -21,8 +24,6 @@ refused budget, a --precision above 4096 bits included, exits 4
 import argparse
 import sys
 
-from mpmath.libmp import to_str
-
 from spinaldim import TreeSequence, _end_process, dimension_report, synthesize
 from spinaldim.dimension import _decimal_text
 from spinaldim.errors import exit_code
@@ -36,11 +37,9 @@ def emit_block(tag, seq, levels, precision):
     print(f"# family={tag} sequence_prefix={','.join(map(str, seq.valencies[:4]))}...")
     print("n,alpha_n,d_n,lower_n,upper_n")
     for row in report.rows:
-        print(
-            f"{row.n},{_decimal_text(row.alpha, DIGITS, True)},{to_str(row.d._mpf_, DIGITS)},"
-            f"{to_str(row.lower._mpf_, DIGITS)},{to_str(row.upper._mpf_, DIGITS)}"
-        )
-    print(f"# liminf_estimate={to_str(report.liminf_estimate._mpf_, DIGITS)}")
+        columns = (row.alpha, row.d, row.lower, row.upper)
+        print(f"{row.n},{','.join(_decimal_text(x, DIGITS, True) for x in columns)}")
+    print(f"# liminf_estimate={_decimal_text(report.liminf_estimate, DIGITS, True)}")
     print()
 
 

@@ -50,12 +50,6 @@ def _echo(args) -> dict:
             "config": _config(args)}
 
 
-def _nstr(x, digits: int) -> str:
-    import mpmath
-
-    return mpmath.nstr(x, digits, strip_zeros=False)
-
-
 def _digits_precision(digits: int) -> int:
     """The bits a ``--digits`` of ``digits`` is charged, refused above the ceiling.
 
@@ -290,27 +284,25 @@ def _cmd_dim(args) -> int:
             {
                 "n": r.n,
                 "alpha_n": _fraction_text(r.alpha),
-                "d_n": _nstr(r.d, d),
-                "lower_n": _nstr(r.lower, d),
-                "upper_n": _nstr(r.upper, d),
-                "ratio_n": _nstr(r.ratio, d),
-                "T1": _nstr(r.t1, d),
-                "T2": _nstr(r.t2, d),
+                "d_n": _decimal_text(r.d, d, False),
+                "lower_n": _decimal_text(r.lower, d, False),
+                "upper_n": _decimal_text(r.upper, d, False),
+                "ratio_n": _decimal_text(r.ratio, d, False),
+                "T1": _decimal_text(r.t1, d, False),
+                "T2": _decimal_text(r.t2, d, False),
             }
             for r in report.rows
         ]
-        doc["liminf_estimate"] = _nstr(report.liminf_estimate, d)
-        doc["limsup_estimate"] = _nstr(report.limsup_estimate, d)
+        doc["liminf_estimate"] = _decimal_text(report.liminf_estimate, d, False)
+        doc["limsup_estimate"] = _decimal_text(report.limsup_estimate, d, False)
         _emit(_json_text(doc), args.out)
         return 0
     lines = [_csv_comment(args)]
     lines.append("n,alpha_n_num,alpha_n_den,d_n,lower_n,upper_n,T1,T2\n")
     for r in report.rows:
-        lines.append(
-            f"{r.n},{_int_text(r.alpha.numerator)},{_int_text(r.alpha.denominator)},"
-            f"{_nstr(r.d, d)},{_nstr(r.lower, d)},{_nstr(r.upper, d)},"
-            f"{_nstr(r.t1, d)},{_nstr(r.t2, d)}\n"
-        )
+        decimals = (_decimal_text(x, d, False) for x in (r.d, r.lower, r.upper, r.t1, r.t2))
+        lines.append(f"{r.n},{_int_text(r.alpha.numerator)},{_int_text(r.alpha.denominator)},"
+                     f"{','.join(decimals)}\n")
     _emit("".join(lines), args.out)
     return 0
 

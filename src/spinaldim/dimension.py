@@ -123,15 +123,20 @@ def _quotient(p: int, q: int, prec: int) -> tuple:
     return mpf_div((0, p, 0, p.bit_length()), (0, q, 0, q.bit_length()), prec, round_nearest)
 
 
-def _decimal_text(x: Fraction, digits: int, strip_zeros: bool) -> str:
+def _decimal_text(x: Fraction | mpf, digits: int, strip_zeros: bool) -> str:
     """``x`` >= 0 to ``digits`` significant digits, rounded half up from its exact value.
 
-    The text is laid out as mpmath's ``to_str`` lays out a binary value:
-    fixed point when the leading digit's exponent e lies strictly between
-    min(-(digits // 3), -5) and digits, otherwise ``d.ddd`` and ``e+N`` or
-    ``e-N``, with trailing zeros stripped only when asked.
+    ``x`` is a rational or a binary mpf, whose exact value is man * 2**exp.
+    The text is fixed point when the leading digit's exponent e lies
+    strictly between min(-(digits // 3), -5) and digits, otherwise
+    ``d.ddd`` and ``e+N`` or ``e-N``; trailing zeros are stripped only when
+    asked, and one is kept after the point.
     """
-    p, q = x.numerator, x.denominator
+    if hasattr(x, "_mpf_"):
+        _, man, exp, _ = x._mpf_
+        p, q = (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    else:
+        p, q = x.numerator, x.denominator
     if not p:
         return "0.0"
     # 2**(k-1) < p/q < 2**(k+1) with k the difference of the bit lengths, so
@@ -183,8 +188,6 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     if not 1 <= n <= len(seq):
         raise ValueError(f"level {n} outside 1..{len(seq)}; the smallest reported level is 1")
 
-    from fractions import Fraction
-
     import mpmath
     from mpmath.libmp import mpf_mul, round_nearest
 
@@ -196,7 +199,7 @@ def partial_dimension(seq: TreeSequence, n: int, precision_bits: int = 128) -> D
     return DimensionRow(
         n=n,
         d=_ratio(sums.order_sub[n], sums.order[n], wp),
-        alpha=Fraction(sums.size_sub[n], sums.size[n]),
+        alpha=sums.alpha[n],
         ratio=_ratio(sums.fact_sub[n], f, wp),
         lower=mpmath.mp.make_mpf(lower),
         upper=_ratio((n * sums.size_sub[n - 1] << wp) + sums.stirling_sub[n], f, wp),

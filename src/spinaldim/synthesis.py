@@ -23,14 +23,13 @@ import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BudgetExceeded
-from .trees import TreeSequence
+from .trees import _MAX_ENTRY_DIGITS, TreeSequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
     import numpy as np
 
-_MAX_ENTRY_DIGITS = 100_000
 _SCAN_CAP = 2_000_000
 # largest work, denominators examined plus entries built plus the 64-bit words
 # beyond the first of each realization's m_n, of one spectrum sample

@@ -16,7 +16,12 @@ import math
 from itertools import product
 from typing import Iterator
 
+from .errors import BudgetExceeded
+
 Vertex = tuple[int, ...]
+# the decimal digits of one valency, parsed from text or synthesized, and of
+# an alpha text written out
+_MAX_ENTRY_DIGITS = 100_000
 
 
 class TreeSequence:
@@ -55,11 +60,19 @@ class TreeSequence:
 
     @classmethod
     def from_text(cls, text: str) -> "TreeSequence":
-        """Parse a comma-separated list such as "5,13,133"; no entry may be empty."""
+        """Parse a comma-separated list such as "5,13,133"; no entry may be empty.
+
+        An entry longer than _MAX_ENTRY_DIGITS is refused before ``int``
+        converts it, which takes time quadratic in its length.
+        """
         parts = [p.strip() for p in text.split(",")]
         if "" in parts:
             raise ValueError(f"empty entry {parts.index('') + 1} in valency sequence {text!r}"
                              if len(parts) > 1 else "empty valency sequence")
+        for i, p in enumerate(parts, start=1):
+            BudgetExceeded.refuse_above(
+                len(p), _MAX_ENTRY_DIGITS,
+                f"valency entry {i} has {len(p)} characters (budget {_MAX_ENTRY_DIGITS})")
         return cls(tuple(int(p) for p in parts))
 
     def to_text(self) -> str:

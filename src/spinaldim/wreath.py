@@ -42,6 +42,8 @@ from .schreier import StabilizerChain
 from .trees import TreeSequence
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from mpmath import mpf
 
 _GUARD_BITS = 32
@@ -79,7 +81,8 @@ class LogOrderSums(NamedTuple):
         order_sub     sum m'_j (ln (l_j-2)! - ln 2), the same over l_j - 2
 
     ``size[n]`` and ``size_sub[n]`` are m_n and m'_n, exact ints with no
-    scale.  The split sums come from l! = l (l-1) (l-2)!.
+    scale, and ``alpha[n]`` is m'_n/m_n as a reduced Fraction.  The split
+    sums come from l! = l (l-1) (l-2)!.
 
     Every other entry is an exact int at the scale 2^wp, wp = precision_bits +
     _GUARD_BITS: the sum is the entry times 2^-wp.  Three logs per valency,
@@ -99,6 +102,7 @@ class LogOrderSums(NamedTuple):
     order_sub: tuple[int, ...]
     size: tuple[int, ...]
     size_sub: tuple[int, ...]
+    alpha: tuple[Fraction, ...]
 
 
 def _fixed(x: mpf, wp: int) -> tuple[int, int]:
@@ -133,13 +137,15 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
         bits, _LOG_SUM_BIT_BUDGET,
         f"log-order sums over {len(valencies)} levels need about {bits:.3g} bits "
         f"(budget {_LOG_SUM_BIT_BUDGET})")
+    from fractions import Fraction
+
     import mpmath
 
     wp = precision_bits + _GUARD_BITS
     with mpmath.workprec(wp):
         ln2, ln2_shift = _fixed(mpmath.log(2), wp)
         rows = [(0,) * 7]
-        size, size_sub = [1], [1]
+        size, size_sub, alpha = [1], [1], [Fraction(1)]
         logs = {}  # valency -> (mantissa, shift) of ln (l-2)!, ln l, ln (l-1), l (ln l - 1)
         for l in valencies:
             if l not in logs:
@@ -155,6 +161,11 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
             rows.append(tuple(acc + t for acc, t in zip(rows[-1], terms)))
             size.append(m * l)
             size_sub.append(m_sub * (l - 2))
+            # a short l cancels against the last alpha in linear time, where a gcd
+            # of the sizes is quadratic; a long one (a synthesized entry) keeps
+            # that gcd, whose remainders collapse at once as m'/m sits by its target
+            alpha.append(alpha[-1] * Fraction(l - 2, l) if 2 * l.bit_length() < m.bit_length()
+                         else Fraction(size_sub[-1], size[-1]))
     fact_sub, split_sub, split_l, split_l1, stirling_sub, internal, internal_sub = zip(*rows)
     fact = tuple(map(sum, zip(split_sub, split_l, split_l1)))
     return LogOrderSums(
@@ -168,6 +179,7 @@ def log_order_sums(valencies: tuple[int, ...], precision_bits: int) -> LogOrderS
         order_sub=tuple(f - ((w * ln2) << ln2_shift) for f, w in zip(fact_sub, internal_sub)),
         size=tuple(size),
         size_sub=tuple(size_sub),
+        alpha=tuple(alpha),
     )
 
 

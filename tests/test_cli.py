@@ -866,6 +866,51 @@ def test_empty_list_entry_is_a_bad_value(tmp_path, name, argv, err):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name, template", [
+    ("cli", "verify --seq 5,{} --level 1"),
+    ("dimension_scan", "--levels 1 --constants 5,{} --targets="),
+])
+def test_valency_text_is_refused_above_its_digit_budget(name, template):
+    # before this budget verify spent 25 s on such an entry, most of it in int()
+    argv = template.format("9" * 1_000_000).split()
+    start = time.perf_counter()
+    refused = run_cli(*argv) if name == "cli" else _run_script(name, argv)
+    assert time.perf_counter() - start < 1.0
+    assert refused == (4, "", "refused: valency entry 2 has 1000000 characters (budget 100000)\n")
+
+
+def _near_tie_report(seq, levels, precision_bits=128):
+    """A one-row report whose every binary value is the 160-bit near tie."""
+    import mpmath
+    from mpmath.libmp import from_man_exp
+
+    from spinaldim.dimension import DimensionReport, DimensionRow
+
+    # just above 0.1234567890125; mpmath's nstr and to_str print 0.123456789012
+    x = mpmath.mp.make_mpf(from_man_exp(1443458394251076601750342911141604080247190834417, -163))
+    row = DimensionRow(1, x, Fraction(3, 5), x, x, x, x, x)
+    return DimensionReport(seq.valencies[:1], precision_bits, [row], x, x)
+
+
+def test_every_printed_row_value_is_its_exact_value_rounded_half_up(monkeypatch):
+    tie = "0.123456789013"
+    monkeypatch.setattr(cli, "dimension_report", _near_tie_report)
+    dim = "dim --alpha 1/2 --terms 1 --levels 1 --format {}"
+    code, out, _ = run_cli(*dim.format("json").split())
+    doc = json.loads(out)
+    assert code == 0 and [doc["liminf_estimate"], doc["limsup_estimate"]] == [tie, tie]
+    assert [v for k, v in doc["rows"][0].items() if k not in ("n", "alpha_n")] == [tie] * 6
+    code, out, _ = run_cli(*dim.format("csv").split())
+    assert code == 0 and out.splitlines()[2].split(",")[3:] == [tie] * 5
+    scan = _script("dimension_scan")
+    monkeypatch.setattr(scan, "dimension_report", _near_tie_report)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert scan.main(["--levels", "1", "--constants", "5", "--targets="]) == 0
+    assert out.getvalue().splitlines()[2:4] == [f"1,0.6,{tie},{tie},{tie}",
+                                                f"# liminf_estimate={tie}"]
+
+
 @pytest.mark.parametrize("template, at, over, err", [
     ("dim --alpha 1/2 --terms 3 --levels 3 --precision {}", 4096, 4097,
      "refused: precision 4097 above the 4096-bit ceiling\n"),

@@ -5,7 +5,15 @@ import mpmath
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, from_rational, mpf_mul, round_nearest, to_str
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    mpf_mul,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+    to_str,
+)
 
 from spinaldim import (
     BudgetExceeded,
@@ -470,16 +478,43 @@ def _half_up(x: Fraction, digits: int) -> decimal.Decimal:
         return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
 
 
-def _assert_half_up(x: Fraction, digits: int) -> None:
+def _assert_half_up(x: Fraction | mpmath.mpf, digits: int) -> None:
     text = _decimal_text(x, digits, False)
-    assert decimal.Decimal(text) == _half_up(x, digits)
+    exact = Fraction(x.man) * Fraction(2) ** x.exp if isinstance(x, mpmath.mpf) else x
+    assert decimal.Decimal(text) == _half_up(exact, digits)
     assert len(text.split("e")[0].replace(".", "").lstrip("0")) == digits
 
 
-@given(p=st.integers(1, 2**400), q=st.integers(1, 2**400), digits=st.integers(1, 60))
-@example(p=1, q=3 << 522_000, digits=12)  # synth's smallest gaps, near 10**-157000
-def test_decimal_text_rounds_the_exact_rational_half_up(p, q, digits):
-    _assert_half_up(Fraction(p, q), digits)
+def _mantissas(bits: int):
+    return st.integers(1 << bits - 1, (1 << bits) - 1)
+
+
+_RATIONALS = st.tuples(st.builds(Fraction, st.integers(1, 2**400), st.integers(1, 2**400)),
+                       st.integers(1, 60))
+# a binary value as a row carries it: mantissas of up to the 4096 + 32 bits of
+# the ceiling's working precision, at any exponent, printed to up to the
+# floor(4096 log10 2) = 1233 digits that precision carries
+_BINARIES = st.tuples(
+    st.builds(lambda man, exp: mpmath.mp.make_mpf(from_man_exp(man, exp)),
+              st.integers(2, 4128).flatmap(_mantissas), st.integers(-20_000, 20_000)),
+    st.integers(1, 1233))
+# 0.1234567890125 rounded up to 160 bits: mpmath floors it to 59 bits and then
+# to 15 digits before it rounds, and prints 0.123456789012
+NEAR_TIE = mpmath.mp.make_mpf(
+    from_man_exp(1443458394251076601750342911141604080247190834417, -163))
+
+
+@given(case=st.one_of(_RATIONALS, _BINARIES))
+@example(case=(Fraction(1, 3 << 522_000), 12))  # synth's smallest gaps, near 10**-157000
+@example(case=(mpmath.mp.make_mpf(from_man_exp((1 << 4128) - 1, -4128)), 1233))  # carries to 1.0
+def test_decimal_text_rounds_the_exact_rational_half_up(case):
+    _assert_half_up(*case)
+
+
+def test_decimal_text_prints_a_binary_near_tie_from_its_exact_value():
+    assert to_str(NEAR_TIE._mpf_, 12) == "0.123456789012"
+    for strip_zeros in (False, True):
+        assert _decimal_text(NEAR_TIE, 12, strip_zeros) == "0.123456789013"
 
 
 @given(lead=st.integers(1, 10**40), exp10=st.integers(-60, 60))
@@ -488,6 +523,17 @@ def test_decimal_text_rounds_the_exact_rational_half_up(p, q, digits):
 def test_decimal_text_takes_every_constructed_tie_up(lead, exp10):
     # (lead + 1/2) 10**exp10 lies halfway between two decimals of lead's digits
     _assert_half_up(Fraction(2 * lead + 1, 2) * Fraction(10) ** exp10, len(str(lead)))
+
+
+@given(lead=st.integers(1, 10**40), exp10=st.integers(-60, 60), bits=st.integers(2, 4128),
+       up=st.booleans())
+@example(lead=123456789012, exp10=-12, bits=160, up=True)  # NEAR_TIE
+def test_decimal_text_rounds_a_binary_value_beside_a_tie(lead, exp10, bits, up):
+    # the nearest value of ``bits`` bits above or below (lead + 1/2) 10**exp10;
+    # mpmath's to_str floors one above to 59 bits and can print it rounded down
+    tie = Fraction(2 * lead + 1, 2) * Fraction(10) ** exp10
+    raw = from_rational(tie.numerator, tie.denominator, bits, round_ceiling if up else round_floor)
+    _assert_half_up(mpmath.mp.make_mpf(raw), len(str(lead)))
 
 
 def test_decimal_text_ties_are_not_taken_to_even():

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import spinaldim
-from spinaldim import cli, dimension, portraits, schreier, synthesis, wreath
+from spinaldim import cli, dimension, portraits, schreier, synthesis, trees, wreath
 from spinaldim.errors import BudgetExceeded, DegreeCapExceeded
 from spinaldim.perms import alt_generators
 from spinaldim.trees import TreeSequence
@@ -108,6 +108,9 @@ BUDGETS = {
     "synthesis._parse_target": (
         synthesis, "_MAX_ENTRY_DIGITS", lambda: synthesis._parse_target("1.25e-3"),
         lambda: 5, BudgetExceeded, "target needs at least 5 digits "),
+    "TreeSequence.from_text": (
+        trees, "_MAX_ENTRY_DIGITS", lambda: TreeSequence.from_text("5, 123456"),
+        lambda: 6, BudgetExceeded, "valency entry 2 has 6 characters "),
     # b = 4 is not admissible on (5, 5), so the last charge is the denominator's
     "spectrum_sample per denominator": (
         synthesis, "_SPECTRUM_WORK_LIMIT",

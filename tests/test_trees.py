@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinaldim import TreeSequence
+from spinaldim import BudgetExceeded, TreeSequence
 
 sequences = st.lists(st.integers(min_value=3, max_value=9), min_size=1, max_size=4).map(
     lambda vs: TreeSequence(tuple(vs))
@@ -73,6 +73,12 @@ def test_from_text_round_trip():
     assert seq.to_text() == "5,13,133"
     with pytest.raises(ValueError):
         TreeSequence.from_text("")
+
+
+def test_from_text_parses_an_entry_of_the_digit_budget():
+    assert TreeSequence.from_text(" " + "9" * 100_000).valencies == (10**100_000 - 1,)
+    with pytest.raises(BudgetExceeded, match=r"^valency entry 2 has 100001 characters "):
+        TreeSequence.from_text("5," + "9" * 100_001)
 
 
 @given(sequences)

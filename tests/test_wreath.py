@@ -94,7 +94,7 @@ def reference_log_order_sums(valencies, precision_bits):
     with mpmath.workprec(wp):
         ln2 = scaled(mpmath.log(2))
         sums = {name: [0] for name in LogOrderSums._fields}
-        sums["size"], sums["size_sub"] = [1], [1]
+        sums["size"], sums["size_sub"], sums["alpha"] = [1], [1], [Fraction(1)]
         m = m_sub = 1
         for l in valencies:
             lf_sub = scaled(lnfact(l - 2, precision_bits))
@@ -117,6 +117,7 @@ def reference_log_order_sums(valencies, precision_bits):
             m_sub *= l - 2
             sums["size"].append(m)
             sums["size_sub"].append(m_sub)
+            sums["alpha"].append(Fraction(m_sub, m))
     return LogOrderSums(**{name: tuple(v) for name, v in sums.items()})
 
 
@@ -129,7 +130,8 @@ def test_log_order_sums_are_exact_sums_of_the_rounded_logs(valencies, bits):
     got = log_order_sums(valencies, bits)
     want = reference_log_order_sums(valencies, bits)
     for name in LogOrderSums._fields:
-        assert all(type(x) is int for x in getattr(got, name)), name
+        kind = Fraction if name == "alpha" else int
+        assert all(type(x) is kind for x in getattr(got, name)), name
         assert getattr(got, name) == getattr(want, name), name
 
 
